@@ -69,7 +69,7 @@ def run_sweep(workers: int) -> tuple[float, float]:
     service = HitlistService(world, config, settings=settings)
     service.bootstrap(SCAN_DAYS[0])
     targets = list(service._scan_pool)
-    scanner = service.scanner
+    scanner = service.fleet.scanners[0]
 
     timings = {}
     reference = None

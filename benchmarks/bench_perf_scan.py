@@ -41,7 +41,7 @@ def test_perf_scan_worker_sweep(world, config, emit):
     service = HitlistService(world, config, settings=settings)
     service.bootstrap(SCAN_DAY)
     targets = list(service._scan_pool)
-    scanner = service.scanner
+    scanner = service.fleet.scanners[0]
 
     sweep = {}
     reference = None

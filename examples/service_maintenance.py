@@ -46,7 +46,10 @@ def main() -> None:
         service.apd, known_addresses=history.input_ever
     )
     scanner = ZMapScanner(internet, loss_rate=0.0)
-    result = scanner.scan(list(representatives.values()), Protocol.ICMP, final_day)
+    results, _udp53 = scanner.scan_all_protocols(
+        list(representatives.values()), final_day, service.settings.qname
+    )
+    result = results[Protocol.ICMP]
     print(f"\nrepresentatives: {len(representatives)} aliased prefixes get "
           f"one scan target each; {len(result.responders)} answered ICMP — "
           f"kept in the hitlist instead of silently dropping whole CDNs")

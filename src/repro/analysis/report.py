@@ -154,9 +154,9 @@ def full_report(history: HitlistHistory, evaluation=None) -> str:
     )
     sections.append(_section("Run overview", overview))
 
-    fleet = vantage_section(history)
-    if fleet is not None:
-        sections.append(fleet)
+    vantages = vantage_section(history)
+    if vantages is not None:
+        sections.append(vantages)
 
     # --- Table 1 ----------------------------------------------------------
     table1 = table1_responsiveness(history, rib)

@@ -25,7 +25,6 @@ from repro.net.prefix import IPv6Prefix
 from repro.net.random_addr import spread_addresses
 from repro.net.trie import PrefixTrie
 from repro.obs.metrics import MetricsRegistry
-from repro.protocols import Protocol
 from repro.scan.engine import apd_probe_pass
 from repro.scan.zmap import ZMapScanner
 
@@ -155,33 +154,15 @@ class AliasedPrefixDetection:
     # ------------------------------------------------------------------
     # probing
 
-    def _probe_bitmap(self, prefix: IPv6Prefix, day: int, attempt: int) -> int:
-        """Per-spot responsiveness (bit i = subprefix i answered).
-
-        The probe nonce mixes the attempt count so repeated rounds —
-        even on the same day, e.g. during bootstrap — draw independent
-        addresses and therefore independent loss.
-        """
-        probes = spread_addresses(prefix, _PROBE_COUNT, nonce=(day << 4) | (attempt & 0xF))
-        bitmap = 0
-        icmp = self._scanner.scan(probes, Protocol.ICMP, day).responders
-        tcp = self._scanner.scan(probes, Protocol.TCP80, day).responders
-        for index, address in enumerate(probes):
-            if address in icmp or address in tcp:
-                bitmap |= 1 << index
-        full = (1 << len(probes)) - 1
-        if len(probes) < _PROBE_COUNT:
-            # prefixes near /128: fewer distinct spots, pad as responsive
-            bitmap |= ((1 << _PROBE_COUNT) - 1) ^ full
-        return bitmap
-
     def _batch_bitmaps(self, prefixes: List[IPv6Prefix], day: int) -> List[int]:
         """Per-spot bitmaps for many prefixes in one fused probe pass.
 
-        Produces exactly what :meth:`_probe_bitmap` would per prefix
-        (same probe addresses, loss draws, metric totals and padding),
-        but the scanner resolves the ground truth once per probe instead
-        of once per (probe, protocol).
+        Bit ``i`` is set when subprefix ``i``'s probe answered ICMP or
+        TCP/80; prefixes near /128 have fewer distinct spots and pad the
+        rest as responsive.  The probe nonce mixes the prefix's detection
+        round count, so repeated rounds — even on the same day, e.g.
+        during bootstrap — draw independent addresses and therefore
+        independent loss.
         """
         prefix_probes = [
             (
@@ -212,15 +193,15 @@ class AliasedPrefixDetection:
         """Run one detection round for one prefix and update state.
 
         ``bitmap`` lets batched callers inject a probe bitmap computed
-        by :meth:`_batch_bitmaps`; without it the prefix is probed
-        individually.
+        by :meth:`_batch_bitmaps`; without it the prefix is probed as a
+        batch of one.
         """
         level = self._candidate_level.get(prefix, "slash64")
         if self._metrics is not None:
             self._m_tested.labels(level=level).inc()
-        history = self._history.setdefault(prefix, [])
         if bitmap is None:
-            bitmap = self._probe_bitmap(prefix, day, attempt=len(history))
+            bitmap = self._batch_bitmaps([prefix], day)[0]
+        history = self._history.setdefault(prefix, [])
         history.append(bitmap)
         if len(history) > self._window + 1:
             del history[0]

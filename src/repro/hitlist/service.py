@@ -26,7 +26,6 @@ from repro.obs.tracing import Tracer
 from repro.protocols import ALL_PROTOCOLS, Protocol
 from repro.runtime.faults import FaultPlan, RetryPolicy
 from repro.scan.blocklist import Blocklist
-from repro.scan.engine import ScanEngine
 from repro.scan.scheduler import (
     DEFAULT_REFRESH_INTERVAL,
     DEFAULT_SAMPLE_RATE,
@@ -36,7 +35,7 @@ from repro.scan.yarrp import YarrpTracer
 from repro.scan.zmap import ZMapScanner
 from repro.simnet.config import DAY_2021_12_01, SNAPSHOT_DAYS, ScenarioConfig
 from repro.simnet.internet import SimInternet
-from repro.vantage import VantageFleet, default_vantage_specs, validate_policy
+from repro.vantage import VantageFleet, default_vantage_specs
 
 #: Addresses within this many days of the 30-day filter's deadline are
 #: force-probed under incremental scheduling (see _eviction_watchlist).
@@ -321,44 +320,23 @@ class HitlistService:
             if self.settings.retry_attempts > 1
             else None
         )
-        self.scanner = ZMapScanner(
-            internet, blocklist=self.blocklist,
-            loss_rate=self.settings.loss_rate, seed=config.seed,
-            fault_plan=fault_plan, retry=retry, metrics=self.metrics,
-        )
-        self.engine = ScanEngine(
-            self.scanner,
+        #: the scan vantage(s): a fleet of one is the paper's single TUM
+        #: vantage, larger fleets shard targets across AS-diverse members
+        self.fleet = VantageFleet(
+            internet,
+            default_vantage_specs(internet, config.seed, self.settings.vantages),
+            seed=config.seed,
+            loss_rate=self.settings.loss_rate,
+            quorum=self.settings.quorum,
+            overlap=self.settings.vantage_overlap,
             workers=self.settings.scan_workers,
             chunk_size=self.settings.scan_chunk_size,
+            blocklist=self.blocklist,
+            fault_plan=fault_plan,
+            retry=retry,
             metrics=self.metrics,
             tracer=self.spans,
         )
-        validate_policy(self.settings.quorum)
-        if self.settings.vantages < 1:
-            raise ValueError(
-                f"settings.vantages must be >= 1, got {self.settings.vantages}"
-            )
-        #: the multi-vantage coordinator; None keeps the pre-fleet
-        #: single-vantage probe path bit-identical
-        self.fleet: Optional[VantageFleet] = None
-        if self.settings.vantages > 1:
-            self.fleet = VantageFleet(
-                internet,
-                default_vantage_specs(
-                    internet, config.seed, self.settings.vantages
-                ),
-                seed=config.seed,
-                loss_rate=self.settings.loss_rate,
-                quorum=self.settings.quorum,
-                overlap=self.settings.vantage_overlap,
-                workers=self.settings.scan_workers,
-                chunk_size=self.settings.scan_chunk_size,
-                blocklist=self.blocklist,
-                fault_plan=fault_plan,
-                retry=retry,
-                metrics=self.metrics,
-                tracer=self.spans,
-            )
         if self.settings.scan_mode not in ("full", "incremental"):
             raise ValueError(
                 f"settings.scan_mode must be 'full' or 'incremental', "
@@ -380,7 +358,7 @@ class HitlistService:
         self.tracer = YarrpTracer(
             internet, blocklist=self.blocklist,
             sample_rate=self.settings.trace_sample_rate, seed=config.seed,
-            fault_plan=fault_plan, metrics=self.metrics,
+            metrics=self.metrics,
         )
         self.apd = AliasedPrefixDetection(
             ZMapScanner(internet, blocklist=self.blocklist, loss_rate=self.settings.loss_rate,
@@ -500,8 +478,7 @@ class HitlistService:
         survivors and targets can still prove responsiveness.
         """
         threshold = self.settings.unresponsive_days
-        plan = self.fault_plan
-        fleet = self.fleet
+        dark_days_between = self.fleet.dark_days_between
         history = self.history
         to_remove = []
         for address in self._scan_pool:
@@ -509,13 +486,8 @@ class HitlistService:
                 address, self._first_seen.get(address, day)
             )
             elapsed = day - reference
-            if plan is not None and elapsed > threshold:
-                if fleet is not None:
-                    elapsed -= plan.fleet_outage_days_between(
-                        reference, day, fleet.vantage_ids
-                    )
-                else:
-                    elapsed -= plan.outage_days_between(reference, day)
+            if elapsed > threshold:
+                elapsed -= dark_days_between(reference, day)
             if elapsed > threshold:
                 to_remove.append(address)
         for address in to_remove:
@@ -663,27 +635,20 @@ class HitlistService:
                 self._ingest(source.name, collected, day)
                 self._source_cursor[source.name] = day
 
-        # 1b. vantage outages.  Fleet mode takes the day's roster —
-        # called exactly once per scan day, because failure counts and
-        # quarantine deadlines advance here — and degrades (rather than
-        # stands down) while any member is live: orphaned shards re-home
-        # to the survivors inside the fleet's rendezvous ranking.  Only
-        # when *nothing* can be probed do APD, the unresponsiveness
-        # filter, scans and traceroutes all stand down; collected input
-        # stays queued for the next working scan, and churn bookkeeping
-        # freezes (an outage is not churn).
-        plan = self.fault_plan
-        roster = None
-        if self.fleet is not None:
-            roster = self.fleet.roster(day)
-            for vid in roster.down:
-                degraded.append(DegradedReason.vantage(vid, "outage"))
-            for vid in roster.backoff:
-                degraded.append(DegradedReason.vantage(vid, "backoff"))
-            stand_down = roster.all_down
-        else:
-            stand_down = plan is not None and plan.vantage_down(day)
-        if stand_down:
+        # 1b. vantage outages.  The fleet's roster for the day — taken
+        # exactly once per scan day, because failure counts and
+        # quarantine deadlines advance here — degrades (rather than
+        # stands down) the scan while any member is live: orphaned
+        # shards re-home to the survivors inside the fleet's rendezvous
+        # ranking.  Only when *nothing* can be probed do APD, the
+        # unresponsiveness filter, scans and traceroutes all stand down;
+        # collected input stays queued for the next working scan, and
+        # churn bookkeeping freezes (an outage is not churn).
+        fleet = self.fleet
+        roster = fleet.roster(day)
+        for vid, fault in fleet.member_faults(roster):
+            degraded.append(DegradedReason.vantage(vid, fault))
+        if roster.all_down:
             degraded.append(DegradedReason.fleet_standdown())
             snapshot = ScanSnapshot(
                 day=day,
@@ -694,14 +659,7 @@ class HitlistService:
                 published_counts={protocol: 0 for protocol in ALL_PROTOCOLS},
                 cleaned_counts={protocol: 0 for protocol in ALL_PROTOCOLS},
                 degraded=tuple(degraded),
-                vantage=(
-                    {
-                        "live": [],
-                        "down": list(roster.down),
-                        "backoff": list(roster.backoff),
-                    }
-                    if roster is not None else None
-                ),
+                vantage=fleet.snapshot_block(roster),
             )
             history.snapshots.append(snapshot)
             return snapshot
@@ -728,8 +686,8 @@ class HitlistService:
         with self.spans.span("hygiene"):
             excluded_now = self._apply_30day_filter(day)
 
-        # 5. scans — one engine pass, or the fleet's shard/probe/
-        # reconcile cycle when multiple vantages are configured.  Under
+        # 5. scans — the fleet's shard/probe/reconcile cycle (a fleet of
+        # one hands the whole probe set to its engine).  Under
         # incremental scheduling the scheduler partitions the pool
         # fleet-globally (before sharding): only the probe set enters
         # the mmap/packed-wire path, carried responders replay during
@@ -751,16 +709,10 @@ class HitlistService:
                 carried = scheduler.carried_scan(sched_plan)
             else:
                 targets = list(self._scan_pool)
-            vantage_block = None
-            if self.fleet is not None:
-                results, udp53, fleet_report = self.fleet.scan(
-                    targets, day, settings.qname, roster, carried=carried
-                )
-                vantage_block = fleet_report.to_json()
-            else:
-                results, udp53 = self.engine.scan_all_protocols(
-                    targets, day, settings.qname, carried=carried
-                )
+            results, udp53, fleet_report = fleet.scan(
+                targets, day, settings.qname, roster, carried=carried
+            )
+            vantage_block = fleet.snapshot_block(roster, fleet_report)
             cleaning = self.gfw_filter.clean_scan(udp53)
             if sched_plan is not None:
                 scheduler.absorb(sched_plan, results, udp53, cleaning)
@@ -893,7 +845,11 @@ class HitlistService:
         list; a cold start here would let single-probe losses pollute the
         first published snapshot.  Two detection rounds over the seeded
         input (attempt-varied probes) bring the miss rate to ~0.02 %.
+        On a day no vantage can probe, the bootstrap stands down like the
+        scan does, and the first working scan's APD round takes the input.
         """
+        if self.fleet.dark_days_between(day - 1, day):
+            return
         with self.spans.span("bootstrap", day=day):
             pending = self._pending_apd_input
             self._pending_apd_input = set()
@@ -968,10 +924,7 @@ class HitlistService:
         # fork the scan-worker pool(s) once, before the campaign: every
         # scan reuses the warm workers instead of paying fork latency
         # per day
-        if self.fleet is not None:
-            self.fleet.warm(len(self._scan_pool))
-        else:
-            self.engine.warm(len(self._scan_pool))
+        self.fleet.warm(len(self._scan_pool))
         try:
             for index in range(start_index, len(scan_days)):
                 day = scan_days[index]
@@ -1002,9 +955,7 @@ class HitlistService:
                     )
         finally:
             # the worker pools re-open lazily if the service runs again
-            if self.fleet is not None:
-                self.fleet.close()
-            self.engine.close()
+            self.fleet.close()
         stash = getattr(self, "_last_scan_full", None)
         if stash is not None and stash[0] not in self.history.retained:
             self._retain(stash[0])
@@ -1108,10 +1059,7 @@ class HitlistService:
             raise ValueError(f"base_interval must be >= 1, got {base_interval}")
         retain_pending = sorted(self.settings.retain_days)
         self.bootstrap(start_day)
-        if self.fleet is not None:
-            self.fleet.warm(len(self._scan_pool))
-        else:
-            self.engine.warm(len(self._scan_pool))
+        self.fleet.warm(len(self._scan_pool))
         day = start_day
         prev_day = -1
         try:
@@ -1134,9 +1082,7 @@ class HitlistService:
                 runtime_days = -(-5 * probed // rate)  # ceil
                 day += max(base_interval, runtime_days)
         finally:
-            if self.fleet is not None:
-                self.fleet.close()
-            self.engine.close()
+            self.fleet.close()
         if prev_day >= 0 and prev_day not in self.history.retained:
             self._retain(prev_day)
         return self.history

@@ -258,6 +258,7 @@ def service_state(service: "HitlistService") -> Dict[str, Any]:
     apd = service.apd
     gfw = service.gfw_filter
     stash = getattr(service, "_last_scan_full", None)
+    probes_sent, fleet_state = service.fleet.checkpoint_fields()
     last_scan_full = None
     if stash is not None:
         day, responders, injected = stash
@@ -279,15 +280,12 @@ def service_state(service: "HitlistService") -> Dict[str, Any]:
             "prev_responsive_any": _encode_addresses(service._prev_responsive_any),
             "gfw_purge_applied": service._gfw_purge_applied,
             "source_cursor": dict(service._source_cursor),
-            "probes_sent": service.scanner.probes_sent,
+            "probes_sent": probes_sent,
             "apd_probes_sent": apd._scanner.probes_sent,
             "last_scan_full": last_scan_full,
             # fleet survival state (retry/backoff bookkeeping and
             # per-vantage probe totals); None for single-vantage runs
-            "fleet": (
-                service.fleet.state_dict()
-                if service.fleet is not None else None
-            ),
+            "fleet": fleet_state,
             # incremental-scheduler priority + carry state; None for
             # full-mode runs
             "scheduler": (
@@ -358,11 +356,10 @@ def restore_service_state(service: "HitlistService", payload: Dict[str, Any]) ->
     service._source_cursor = {
         str(name): int(day) for name, day in state["source_cursor"].items()
     }
-    service.scanner.probes_sent = int(state["probes_sent"])
+    service.fleet.restore_checkpoint_fields(
+        int(state["probes_sent"]), state.get("fleet")
+    )
     service.apd._scanner.probes_sent = int(state["apd_probes_sent"])
-    fleet_state = state.get("fleet")
-    if fleet_state is not None and service.fleet is not None:
-        service.fleet.restore_state(fleet_state)
     sched_state = state.get("scheduler")
     if sched_state is not None and service.scheduler is not None:
         service.scheduler.restore_state(sched_state)

@@ -206,11 +206,12 @@ class FaultPlan:
     # vantage outages
 
     def vantage_down(self, day: int) -> bool:
-        """True when the (singleton) scan vantage is inside an outage.
+        """True when a vantage running this plan is inside an outage.
 
         Only *global* outages (``vantage=None``) count: entries scoped
         to a fleet member affect that member alone and are applied via
-        :meth:`view_for`.
+        :meth:`view_for`.  A fleet of one runs the campaign plan itself,
+        so only global outages take it down.
         """
         return any(
             outage.vantage is None and outage.active(day)

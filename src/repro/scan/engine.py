@@ -1,10 +1,7 @@
 """Batched, shard-parallel scan engine (the ZMap speed lesson).
 
-The per-scan hot path used to walk the ground truth two to three times
-per target: ``scan_all_protocols`` resolved the response mask, then
-``scan_udp53`` re-checked the blocklist and re-resolved region/host per
-target, and ``dns_probe`` looked up the origin AS again.  The engine
-fuses all of it into one pass:
+The package's one probe kernel: every scan and every APD detection
+wave walks the ground truth once per target.
 
 * :meth:`SimInternet.probe_batch_arrays` answers response mask, origin
   AS and genuine-DNS behavior for a whole chunk in a single column-
@@ -54,7 +51,6 @@ from repro.simnet.hosts import DnsBehavior
 from repro.simnet.internet import ControlNsQuery
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.scan.scheduler import CarriedScan
     from repro.scan.zmap import ScanResult, Udp53Result, ZMapScanner
 
 _M64 = 0xFFFFFFFFFFFFFFFF
@@ -66,7 +62,7 @@ _FAST_SALT = 0x5CA11
 _TEREDO_BASE = TEREDO_PREFIX.value
 
 #: the four cheap protocols probed from one fused 64-bit loss draw, in
-#: 16-bit-slice order (must match ``ZMapScanner.scan_all_protocols``)
+#: 16-bit-slice order
 FAST_PROTOCOLS = (Protocol.ICMP, Protocol.TCP80, Protocol.TCP443, Protocol.UDP443)
 
 #: default shard size; small enough to keep worker queues busy on the
@@ -159,10 +155,10 @@ def _scan_chunk_packed(
 ) -> PackedChunkResult:
     """Fused five-protocol scan of one chunk — a pure function.
 
-    Replicates ``scan_all_protocols`` + ``scan_udp53`` bit for bit:
-    identical loss draws (same formulas, same retry-draw accounting),
-    identical burst handling, identical injection draw sequence.  The
-    chunk covers pool positions ``base_index .. base_index +
+    Agrees bit for bit with the scalar per-protocol scanner kept as the
+    differential oracle in the test suite: same loss draws, retry-draw
+    accounting, burst handling and injection draw sequence.  The chunk
+    covers pool positions ``base_index .. base_index +
     len(targets)``; all emitted indices are pool-global.  Only
     ``crosses_cache`` (a memo of the pure ``GfwBoundary.crosses``) is
     mutated, so chunks can run in any process or thread.
@@ -277,7 +273,7 @@ def _scan_chunk_packed(
         zip(live_idx, live, masks, behaviors, nib0, ok0)
     ):
         # fast protocols: four probes drawn from disjoint 16-bit slices
-        # of one 64-bit hash (exactly ZMapScanner.scan_all_protocols)
+        # of one 64-bit hash
         if mask:
             if not single and threshold16 and s != 0b1111:
                 for attempt in range(1, attempts):
@@ -297,7 +293,7 @@ def _scan_chunk_packed(
                 f3_append(gidx)
 
         # UDP/53: loss is drawn for every non-burst target (the GFW can
-        # inject even when the target itself is dead) — ZMapScanner._lost
+        # inject even when the target itself is dead)
         if not ok:
             lost = True
             for attempt in range(1, attempts):
@@ -604,36 +600,19 @@ class ScanEngine:
 
     def scan_all_protocols(
         self, targets: Sequence[int], day: int, qname: str,
-        carried: Optional["CarriedScan"] = None,
     ) -> Tuple[Dict[Protocol, "ScanResult"], "Udp53Result"]:
         """Fused scan of all five hitlist protocols over one target set.
 
-        Drop-in equivalent of ``ZMapScanner.scan_all_protocols`` —
-        identical responder sets, metric totals, retry/burst accounting
-        and control-NS log, for any ``workers``/``chunk_size``.
-
-        ``carried`` (from the incremental scheduler) folds previously
-        probed responders into the merged results without probing them:
-        their addresses join the responder sets and target counts after
-        the probe metrics flush, so ``repro_probes_sent_total`` reflects
-        only real probes.  Carried UDP/53 responders carry no response
-        objects — injection re-attribution happens in the scheduler's
-        ``absorb`` step.
+        Responder sets, metric totals, retry/burst accounting and the
+        control-NS log are identical for any ``workers``/``chunk_size``.
+        The engine probes whatever it is handed: whether the vantage is
+        up at all is the fleet roster's decision, made before any scan.
         """
         from repro.scan.zmap import ScanResult, Udp53Result
 
         scanner = self._scanner
         plan = scanner._fault_plan
         udp53 = Udp53Result(day=day, qname=qname)
-        if plan is not None and plan.vantage_down(day):
-            empty = {
-                protocol: ScanResult(
-                    protocol=protocol, day=day, targets=0, responders=frozenset()
-                )
-                for protocol in FAST_PROTOCOLS
-            }
-            return empty, udp53
-
         if not isinstance(targets, list):
             targets = list(targets)
         limited = plan is not None and any(
@@ -704,12 +683,6 @@ class ScanEngine:
             count, burst_targets, fast_draws + udp_draws, fast_sets,
             udp53, rate_limited, udp_rate_limited, len(ranges),
         )
-        if carried is not None and carried.targets:
-            count += carried.targets
-            for found, replayed in zip(fast_sets, carried.fast):
-                found |= replayed
-            udp53.responders |= carried.udp_responders
-            udp53.targets = count
         results = {
             protocol: ScanResult(
                 protocol=protocol, day=day, targets=count,
@@ -930,22 +903,30 @@ def apd_probe_pass(
 ) -> List[Tuple[set, set]]:
     """Batched ICMP + TCP/80 responder sets for APD probe lists.
 
-    For each ``(prefix, probes)`` pair, replicates exactly what two
-    ``ZMapScanner.scan`` calls over ``probes`` produce — same loss
-    draws, retry accounting, burst counting, per-prefix rate limiting
-    and metric totals — but resolves the ground truth once per probe
-    via the fused pass.
+    For each ``(prefix, probes)`` pair, yields the ICMP and TCP/80
+    responders of a per-protocol scan of ``probes`` — the scalar
+    semantics of loss draws, retry accounting, burst counting,
+    per-prefix rate limiting and metric totals — while the whole batch
+    shares one :meth:`SimInternet.probe_batch_arrays` walk (origin ASes
+    skipped: APD reads only the response masks).
     """
     if not prefix_probes:
         return []
     plan = scanner._fault_plan
-    if plan is not None and plan.vantage_down(day):
-        # scan() returns empty results without touching metrics
-        return [(set(), set()) for _ in prefix_probes]
     internet = scanner._internet
     blocklist = scanner._blocklist
-    has_blocklist = len(blocklist) > 0
-    is_blocked = blocklist.is_blocked
+    if len(blocklist):
+        is_blocked = blocklist.is_blocked
+        scannables = [
+            [probe for probe in probes if not is_blocked(probe)]
+            for _prefix, probes in prefix_probes
+        ]
+    else:
+        scannables = [list(probes) for _prefix, probes in prefix_probes]
+    flat = [probe for scannable in scannables for probe in scannable]
+    masks, _origins, _behaviors = internet.probe_batch_arrays(
+        flat, day, origins=False
+    )
     seed = scanner._seed
     attempts = scanner._retry_attempts
     loss_threshold = scanner._loss_threshold
@@ -983,19 +964,17 @@ def apd_probe_pass(
             scanner._m_hits.labels(protocol=tcp_label),
         )
     out: List[Tuple[set, set]] = []
-    for _prefix, probes in prefix_probes:
-        if has_blocklist:
-            scannable = [probe for probe in probes if not is_blocked(probe)]
-        else:
-            scannable = list(probes)
+    offset = 0
+    for scannable in scannables:
+        count = len(scannable)
+        prefix_masks = masks[offset:offset + count]
+        offset += count
         icmp_responders: set = set()
         tcp_responders: set = set()
         burst_suppressed = 0
         icmp_draws = 0
         tcp_draws = 0
-        for probe, mask, _asn, _behavior in internet.probe_batch(
-            scannable, day, need_dns=False
-        ):
+        for probe, mask in zip(scannable, prefix_masks):
             if burst_lost is not None and burst_lost(probe, day):
                 burst_suppressed += 1
                 continue
@@ -1040,7 +1019,6 @@ def apd_probe_pass(
             )
             rate_limited_tcp = len(tcp_responders & suppressed)
             tcp_responders -= suppressed
-        count = len(scannable)
         scanner.probes_sent += 2 * count
         if metrics is not None:
             total_draws = icmp_draws + tcp_draws

@@ -18,7 +18,6 @@ _M64 = 0xFFFFFFFFFFFFFFFF
 _MIX_C1 = 0xBF58476D1CE4E5B9
 _MIX_C2 = 0x94D049BB133111EB
 from repro.obs.metrics import MetricsRegistry
-from repro.runtime.faults import FaultPlan
 from repro.scan.blocklist import Blocklist
 from repro.simnet.internet import SimInternet
 
@@ -41,7 +40,6 @@ class YarrpTracer:
         blocklist: Optional[Blocklist] = None,
         sample_rate: float = 1.0,
         seed: int = 0,
-        fault_plan: Optional[FaultPlan] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if not 0.0 < sample_rate <= 1.0:
@@ -51,7 +49,6 @@ class YarrpTracer:
         self._sample_rate = sample_rate
         self._sample_threshold = int(sample_rate * float(1 << 64))
         self._seed = seed
-        self._fault_plan = fault_plan
         self._metrics = metrics
         if metrics is not None:
             self._m_targets = metrics.counter(
@@ -60,24 +57,9 @@ class YarrpTracer:
                 "repro_trace_hops_total",
                 "Distinct hop addresses discovered per traceroute run.")
 
-    def _sampled(self, target: int, day: int) -> bool:
-        if self._sample_rate >= 1.0:
-            return True
-        draw = mix64(
-            (target & 0xFFFFFFFFFFFFFFFF) ^ (target >> 64) ^ mix64(day ^ self._seed)
-        )
-        return draw < self._sample_threshold
-
     def trace_targets(self, targets: Iterable[int], day: int) -> TraceRunResult:
-        """Traceroute every (sampled, non-blocked) target once.
-
-        During a vantage outage no traceroute leaves the scan host, so
-        the run discovers nothing.
-        """
+        """Traceroute every (sampled, non-blocked) target once."""
         result = TraceRunResult(day=day)
-        plan = self._fault_plan
-        if plan is not None and plan.vantage_down(day):
-            return result
         internet = self._internet
         blocklist = self._blocklist
         # hot loop: skip blocklist checks entirely when it is empty and

@@ -15,17 +15,15 @@ forgeries poison the hitlist (Sec. 4.2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Optional, Set, Tuple
 
-from repro._util import mix64
 from repro.obs.metrics import MetricsRegistry
 from repro.protocols import DnsResponse, Protocol
-from repro.runtime.faults import RETRY_SALT, FaultPlan, RetryPolicy
+from repro.runtime.faults import FaultPlan, RetryPolicy
 from repro.scan.blocklist import Blocklist
 from repro.simnet.internet import SimInternet
 
 _UINT64_SPAN = float(1 << 64)
-_M64 = 0xFFFFFFFFFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -65,7 +63,13 @@ class Udp53Result:
 
 
 class ZMapScanner:
-    """Stateless scanner issuing probes through the oracle."""
+    """One vantage's probe configuration: loss, retry, faults, metrics.
+
+    The probing itself is the fused kernel of :mod:`repro.scan.engine`
+    (:func:`~repro.scan.engine.apd_probe_pass` for APD's ICMP + TCP/80
+    probes); the scanner carries what that kernel reads and the probe
+    total a checkpoint records.
+    """
 
     def __init__(
         self,
@@ -87,7 +91,6 @@ class ZMapScanner:
         self._fault_plan = fault_plan
         self._retry_attempts = 1 if retry is None else retry.attempts
         self.probes_sent = 0
-        self._retry_draws = 0
         self._metrics = metrics
         #: lazily created serial engine backing :meth:`scan_all_protocols`
         self._engine = None
@@ -109,161 +112,20 @@ class ZMapScanner:
                 "Responders dropped by per-AS rate limiting, by protocol.",
                 ("protocol",))
 
-    def _flush_scan_metrics(
-        self, protocol: Protocol, probed: int, hits: int,
-        burst_suppressed: int, rate_limited: int,
-    ) -> None:
-        """Record one finished single-protocol scan into the registry."""
-        retry_draws, self._retry_draws = self._retry_draws, 0
-        if self._metrics is None:
-            return
-        self._m_probes.labels(protocol=protocol.label).inc(probed)
-        self._m_hits.labels(protocol=protocol.label).inc(hits)
-        if retry_draws:
-            self._m_retries.inc(retry_draws)
-        if burst_suppressed:
-            self._m_burst.inc(burst_suppressed)
-        if rate_limited:
-            self._m_rate_limited.labels(protocol=protocol.label).inc(rate_limited)
-
     @property
     def blocklist(self) -> Blocklist:
         """The blocklist honoured by every probe."""
         return self._blocklist
-
-    def _lost(self, address: int, protocol: Protocol, day: int) -> bool:
-        """I.i.d. loss only; callers check correlated bursts themselves
-        (a retransmission inside a burst dies the same way, so bursts
-        are not retryable and are counted separately)."""
-        if self._loss_threshold == 0:
-            return False
-        base = (address & _M64) ^ (address >> 64)
-        for attempt in range(self._retry_attempts):
-            draw = mix64(
-                base
-                ^ mix64(
-                    (day << 8)
-                    ^ int(protocol)
-                    ^ self._seed
-                    ^ ((attempt * RETRY_SALT) & _M64)
-                )
-            )
-            if draw >= self._loss_threshold:
-                self._retry_draws += attempt
-                return False
-        self._retry_draws += self._retry_attempts - 1
-        return True
-
-    def _suppressed(
-        self, probed: List[int], protocol: Protocol, day: int
-    ) -> FrozenSet[int]:
-        """Responders dropped by per-AS rate limiting this scan."""
-        plan = self._fault_plan
-        if plan is None:
-            return frozenset()
-        internet = self._internet
-        return plan.suppressed_responders(
-            probed, protocol, day, lambda address: internet.origin_as(address, day)
-        )
-
-    def scan(
-        self, targets: Iterable[int], protocol: Protocol, day: int
-    ) -> ScanResult:
-        """Probe every non-blocked target once with one protocol."""
-        plan = self._fault_plan
-        if plan is not None and plan.vantage_down(day):
-            return ScanResult(
-                protocol=protocol, day=day, targets=0, responders=frozenset()
-            )
-        limited = plan is not None and plan.limits_protocol(protocol)
-        probed: List[int] = []
-        responders = set()
-        count = 0
-        burst_suppressed = 0
-        rate_limited = 0
-        internet = self._internet
-        blocklist = self._blocklist
-        for target in targets:
-            if blocklist.is_blocked(target):
-                continue
-            count += 1
-            if limited:
-                probed.append(target)
-            if plan is not None and plan.burst_lost(target, day):
-                burst_suppressed += 1
-                continue
-            if self._lost(target, protocol, day):
-                continue
-            if internet.responds(target, protocol, day):
-                responders.add(target)
-        if limited:
-            suppressed = self._suppressed(probed, protocol, day)
-            rate_limited = len(responders & suppressed)
-            responders -= suppressed
-        self.probes_sent += count
-        self._flush_scan_metrics(
-            protocol, count, len(responders), burst_suppressed, rate_limited
-        )
-        return ScanResult(
-            protocol=protocol, day=day, targets=count, responders=frozenset(responders)
-        )
-
-    def scan_udp53(
-        self, targets: Iterable[int], day: int, qname: str
-    ) -> Udp53Result:
-        """Probe UDP/53 with an A/AAAA query for ``qname``.
-
-        Responses include GFW forgeries; ZMap's success criterion is
-        "any DNS packet came back from the probed address".
-        """
-        result = Udp53Result(day=day, qname=qname)
-        plan = self._fault_plan
-        if plan is not None and plan.vantage_down(day):
-            return result
-        limited = plan is not None and plan.limits_protocol(Protocol.UDP53)
-        probed: List[int] = []
-        burst_suppressed = 0
-        rate_limited = 0
-        internet = self._internet
-        blocklist = self._blocklist
-        for target in targets:
-            if blocklist.is_blocked(target):
-                continue
-            result.targets += 1
-            if limited:
-                probed.append(target)
-            if plan is not None and plan.burst_lost(target, day):
-                burst_suppressed += 1
-                continue
-            if self._lost(target, Protocol.UDP53, day):
-                continue
-            responses = internet.dns_probe(target, qname, day)
-            if responses:
-                result.responders.add(target)
-                result.responses[target] = tuple(responses)
-        if limited:
-            for address in self._suppressed(probed, Protocol.UDP53, day):
-                if address in result.responders:
-                    rate_limited += 1
-                result.responders.discard(address)
-                result.responses.pop(address, None)
-        self.probes_sent += result.targets
-        self._flush_scan_metrics(
-            Protocol.UDP53, result.targets, len(result.responders),
-            burst_suppressed, rate_limited,
-        )
-        return result
 
     def scan_all_protocols(
         self, targets: Iterable[int], day: int, qname: str
     ) -> Tuple[Dict[Protocol, ScanResult], Udp53Result]:
         """Run the full hitlist protocol suite against one target set.
 
-        Equivalent to four :meth:`scan` calls plus :meth:`scan_udp53`,
-        but fused into one ground-truth pass per target (see
+        One fused ground-truth pass per target (see
         :mod:`repro.scan.engine`).  Loss stays independent per (target,
         protocol, day): the four fast probes draw from disjoint 16-bit
-        slices of one 64-bit hash.
+        slices of one 64-bit hash, UDP/53 from its own stream.
         """
         engine = self._engine
         if engine is None:

@@ -1,7 +1,9 @@
 """The multi-vantage scan fleet: sharding, failover, reconciliation.
 
-Promotes the scan vantage from a singleton to a coordinated fleet of N
-simulated vantage points, each at a distinct AS location and therefore
+Every campaign scans through a fleet.  A fleet of one is the paper's
+single vantage, byte for byte (see ``VantageFleet._solo``).  Larger
+fleets coordinate N simulated vantage points, each at a distinct AS
+location and therefore
 with distinct path behaviour: its own Great-Firewall side (via
 :meth:`repro.simnet.internet.SimInternet.vantage_view`), its own loss
 and burst draws, and its own per-AS rate-limit exposure (via
@@ -28,13 +30,14 @@ killed mid-reconciliation resumes bit-identically.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING
 
 from repro._util import mix64
 from repro.protocols import Protocol
 from repro.scan.engine import ScanEngine
-from repro.scan.zmap import ZMapScanner
+from repro.scan.zmap import ScanResult, Udp53Result, ZMapScanner
 from repro.vantage.quorum import quorum_size, validate_policy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -216,19 +219,33 @@ class VantageFleet:
         #: (live indices) -> (sorted pool, shard plan); see :meth:`_shard`
         self._plan_cache: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], tuple]] = {}
 
+        #: A fleet of one *is* the paper's single vantage, bit for bit:
+        #: vp0 probes the campaign's own world with the campaign ``seed``
+        #: and its fault plan unsalted, and the fleet adds nothing of its
+        #: own — no per-target ranking, no ``repro_vantage_*`` metric
+        #: families, spans, snapshot block or checkpoint state, and no
+        #: per-member degraded markers (its outage is the campaign's
+        #: stand-down).  Every method below that reads this flag is
+        #: part of that one rule; fleets of two or more never take it.
+        self._solo = len(self.specs) == 1
+
         self.views = []
         self.scanners: List[ZMapScanner] = []
         self.engines: List[ScanEngine] = []
         self.plans = []
         for spec in self.specs:
-            view = internet.vantage_view(spec.inside_gfw)
-            plan = (
-                fault_plan.view_for(spec.vid, spec.asn)
-                if fault_plan is not None else None
-            )
+            if self._solo:
+                view, plan, member_seed = internet, fault_plan, seed
+            else:
+                view = internet.vantage_view(spec.inside_gfw)
+                plan = (
+                    fault_plan.view_for(spec.vid, spec.asn)
+                    if fault_plan is not None else None
+                )
+                member_seed = spec.seed
             scanner = ZMapScanner(
                 view, blocklist=blocklist, loss_rate=loss_rate,
-                seed=spec.seed, fault_plan=plan, retry=retry,
+                seed=member_seed, fault_plan=plan, retry=retry,
                 metrics=metrics,
             )
             self.views.append(view)
@@ -236,7 +253,8 @@ class VantageFleet:
             self.scanners.append(scanner)
             self.engines.append(ScanEngine(
                 scanner, workers=workers, chunk_size=chunk_size,
-                metrics=metrics, tracer=tracer, vantage=spec.vid,
+                metrics=metrics, tracer=tracer,
+                vantage=None if self._solo else spec.vid,
             ))
 
         # durable fleet survival state — rides in checkpoints
@@ -244,7 +262,7 @@ class VantageFleet:
         self._quarantine_until: Dict[str, int] = {}
 
         self._m_scans = self._m_targets = None
-        if metrics is not None:
+        if metrics is not None and not self._solo:
             self._m_scans = metrics.counter(
                 "repro_vantage_scans_total",
                 "Fleet scan participations, by vantage and outcome.",
@@ -297,8 +315,8 @@ class VantageFleet:
         here, deterministically from (fault plan, scan schedule).  A
         member observed down during a *partial* failure is quarantined
         for ``min(2**failures, 16)`` days past the failure; a global
-        outage (everyone down) mirrors singleton semantics and does not
-        count against individual members.
+        outage (everyone down) stands the scan down and does not count
+        against individual members.
         """
         down: List[str] = []
         candidates: List[str] = []
@@ -331,6 +349,73 @@ class VantageFleet:
         return FleetRoster(
             day=day, live=live, down=tuple(down), backoff=tuple(backoff)
         )
+
+    def member_faults(self, roster: FleetRoster) -> List[Tuple[str, str]]:
+        """``(vid, "outage" | "backoff")`` for each member sitting out.
+
+        A fleet of one reports none: its outage is the campaign's
+        stand-down, not a member fault the survivors absorb.
+        """
+        if self._solo:
+            return []
+        return (
+            [(vid, "outage") for vid in roster.down]
+            + [(vid, "backoff") for vid in roster.backoff]
+        )
+
+    def dark_days_between(self, start_day: int, end_day: int) -> int:
+        """Days in ``(start_day, end_day]`` on which no member could probe.
+
+        Only global outages darken a fleet of one (it runs the campaign
+        plan, where member-scoped outages do not apply); a larger fleet
+        is also dark while every member sits out a scoped outage.
+        """
+        plan = self._fault_plan
+        if plan is None:
+            return 0
+        if self._solo:
+            return plan.outage_days_between(start_day, end_day)
+        return plan.fleet_outage_days_between(
+            start_day, end_day, self.vantage_ids
+        )
+
+    def snapshot_block(
+        self, roster: FleetRoster, report: Optional["FleetScanReport"] = None
+    ) -> Optional[Dict[str, object]]:
+        """The ``vantage`` block of a scan snapshot; None for a fleet of one.
+
+        Without ``report`` the day stood down and the block lists only
+        who was out.
+        """
+        if self._solo:
+            return None
+        if report is not None:
+            return report.to_json()
+        return {
+            "live": [],
+            "down": list(roster.down),
+            "backoff": list(roster.backoff),
+        }
+
+    def checkpoint_fields(self) -> Tuple[int, Optional[Dict[str, object]]]:
+        """``(probes_sent, fleet)`` entries of a service checkpoint.
+
+        A fleet of one keeps its probe total in the top-level slot and
+        writes no fleet block.  Larger fleets carry per-member totals in
+        :meth:`state_dict`, and the top-level slot stays 0.
+        """
+        if self._solo:
+            return self.scanners[0].probes_sent, None
+        return 0, self.state_dict()
+
+    def restore_checkpoint_fields(
+        self, probes_sent: int, state: Optional[Dict[str, object]]
+    ) -> None:
+        """Inverse of :meth:`checkpoint_fields`."""
+        if self._solo:
+            self.scanners[0].probes_sent = probes_sent
+        elif state is not None:
+            self.restore_state(state)
 
     def state_dict(self) -> Dict[str, object]:
         """Durable fleet state for checkpoints."""
@@ -397,6 +482,9 @@ class VantageFleet:
         outright when the pool matches.  Callers must treat the returned
         structures as read-only.
         """
+        if self._solo:
+            # one member probes everything, in the caller's order
+            return {live_key[0]: targets}, [], 0, 0
         pool = tuple(sorted(targets))
         cached = self._plan_cache.get(live_key)
         if cached is not None and cached[0] == pool:
@@ -471,11 +559,8 @@ class VantageFleet:
         ``carried`` holds the incremental scheduler's carried-forward
         responders.  Scheduler priorities are fleet-global, so carried
         targets never enter sharding or witness panels — they merge
-        into the reconciled result after quorum, exactly as the
-        single-engine path merges them after its metrics flush.
+        into the reconciled result after quorum.
         """
-        from repro.scan.zmap import ScanResult, Udp53Result
-
         if roster is None:
             roster = self.roster(day)
         if roster.all_down:
@@ -502,26 +587,17 @@ class VantageFleet:
         # traffic is folded back into the parent log deterministically
         per_results: Dict[int, Dict[Protocol, ScanResult]] = {}
         per_udp: Dict[int, Udp53Result] = {}
-        tracer = self._tracer
         for i in live_indices:
             spec = self.specs[i]
             sharded = assignments[i]
-            if tracer is not None:
-                with tracer.span(
-                    "vantage-scan", day=day, vantage=spec.vid,
-                    targets=len(sharded),
-                ):
-                    results_i, udp_i = self.engines[i].scan_all_protocols(
-                        sharded, day, qname
-                    )
-            else:
-                results_i, udp_i = self.engines[i].scan_all_protocols(
+            with self._span(
+                "vantage-scan", day=day, vantage=spec.vid, targets=len(sharded)
+            ):
+                per_results[i], per_udp[i] = self.engines[i].scan_all_protocols(
                     sharded, day, qname
                 )
-            per_results[i] = results_i
-            per_udp[i] = udp_i
             view_log = self.views[i].control_ns_log
-            if view_log:
+            if view_log and self.views[i] is not self._internet:
                 self._internet.control_ns_log.extend(view_log)
                 del view_log[:]
             report.per_vantage[spec.vid] = {
@@ -531,14 +607,8 @@ class VantageFleet:
                 self._m_scans.labels(vantage=spec.vid, outcome="ok").inc()
                 self._m_targets.labels(vantage=spec.vid).inc(len(sharded))
 
-        if tracer is not None:
-            with tracer.span("reconcile", day=day):
-                merged = self._reconcile(
-                    day, qname, witness_panels, witness_dedup, live_indices,
-                    per_results, per_udp, report, carried,
-                )
-        else:
-            merged = self._reconcile(
+        with self._span("reconcile", day=day):
+            results, udp53 = self._reconcile(
                 day, qname, witness_panels, witness_dedup, live_indices,
                 per_results, per_udp, report, carried,
             )
@@ -550,15 +620,19 @@ class VantageFleet:
                 report.quorum_accepted)
             self._m_quorum.labels(decision="rejected").inc(
                 report.quorum_rejected)
-        return merged[0], merged[1], report
+        return results, udp53, report
+
+    def _span(self, name: str, **attrs):
+        """A tracer span, or a no-op without a tracer or for a fleet of one."""
+        if self._tracer is None or self._solo:
+            return nullcontext()
+        return self._tracer.span(name, **attrs)
 
     def _reconcile(
         self, day, qname, witness_panels, witness_dedup, live_indices,
         per_results, per_udp, report, carried=None,
     ):
         """Merge per-vantage verdicts into one published scan result."""
-        from repro.scan.zmap import ScanResult, Udp53Result
-
         policy = self.quorum_policy
         witness_set = {target for target, _panel in witness_panels}
 

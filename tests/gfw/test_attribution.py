@@ -52,14 +52,14 @@ class TestAttribution:
 
     def test_end_to_end_attribution(self, small_world):
         """A real injected scan attributes to the pool's owner orgs."""
-        from repro.scan.zmap import ZMapScanner
+        from tests.scan.oracle import OracleScanner
 
         gfw = small_world.gfw
         day = gfw.eras[-1].start_day
         cn_asn = next(iter(gfw._boundary.inside_asns))
         prefix = small_world.routing.base.prefixes_of(cn_asn)[0]
         targets = [prefix.value | (0xD000 + i) for i in range(50)]
-        scanner = ZMapScanner(small_world, loss_rate=0.0)
+        scanner = OracleScanner(small_world, loss_rate=0.0)
         result = scanner.scan_udp53(targets, day, "www.google.com")
         f = GfwFilter()
         f.clean_scan(result)

@@ -12,7 +12,7 @@ from repro.hitlist.export import read_aliased_prefixes, write_aliased_prefixes
 from repro.net.aggregate import merge_adjacent
 from repro.protocols import Protocol
 from repro.scan.blocklist import Blocklist
-from repro.scan.zmap import ZMapScanner
+from tests.scan.oracle import OracleScanner
 
 
 def test_published_prefixes_block_scans(small_world, short_history):
@@ -31,7 +31,7 @@ def test_published_prefixes_block_scans(small_world, short_history):
     blocklist = Blocklist()
     for prefix in aggregated:
         blocklist.add(prefix, reason="published aliased prefix")
-    scanner = ZMapScanner(small_world, blocklist=blocklist, loss_rate=0.0)
+    scanner = OracleScanner(small_world, blocklist=blocklist, loss_rate=0.0)
 
     # addresses inside any published prefix are never probed …
     inside = [alias.prefix.value | 1 for alias in

@@ -6,6 +6,7 @@ from repro.hitlist.apd import AliasedPrefixDetection
 from repro.hitlist.representatives import alias_representatives
 from repro.protocols import Protocol
 from repro.scan.zmap import ZMapScanner
+from tests.scan.oracle import OracleScanner
 
 
 @pytest.fixture
@@ -40,7 +41,7 @@ class TestRepresentatives:
         # the point of the suggestion: these targets answer probes even
         # though their prefixes are excluded from the regular scan
         chosen = alias_representatives(apd_with_aliases)
-        scanner = ZMapScanner(small_world, loss_rate=0.0)
+        scanner = OracleScanner(small_world, loss_rate=0.0)
         result = scanner.scan(list(chosen.values()), Protocol.ICMP, 0)
         assert len(result.responders) > len(chosen) * 0.5
 

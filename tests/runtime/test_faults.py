@@ -24,10 +24,10 @@ from repro.runtime import (
     VantageOutage,
     load_fault_plan,
 )
-from repro.scan.zmap import ZMapScanner
 from repro.simnet import build_internet
 
 from tests.runtime.conftest import SCAN_DAYS
+from tests.scan.oracle import OracleScanner
 
 
 class TestFaultPlanPrimitives:
@@ -223,8 +223,8 @@ class TestRetryPolicy:
     def test_attempt_zero_matches_single_shot(self, world, config):
         """attempts=1 must reproduce the seed scanner bit-for-bit."""
         targets = sorted(world.ground_truth.get("initial_input"))[:3000]
-        single = ZMapScanner(world, loss_rate=0.05, seed=config.seed)
-        retried = ZMapScanner(
+        single = OracleScanner(world, loss_rate=0.05, seed=config.seed)
+        retried = OracleScanner(
             world, loss_rate=0.05, seed=config.seed, retry=RetryPolicy(attempts=1)
         )
         assert (
@@ -236,7 +236,7 @@ class TestRetryPolicy:
         targets = sorted(world.ground_truth.get("initial_input"))[:3000]
         results = {}
         for attempts in (1, 3):
-            scanner = ZMapScanner(
+            scanner = OracleScanner(
                 world, loss_rate=0.2, seed=config.seed,
                 retry=RetryPolicy(attempts=attempts),
             )
@@ -245,7 +245,7 @@ class TestRetryPolicy:
 
     def test_retry_does_not_recover_burst_loss(self, world, config):
         plan = FaultPlan(seed=config.seed, bursts=(LossBurst(30, 30, 1.0),))
-        scanner = ZMapScanner(
+        scanner = OracleScanner(
             world, loss_rate=0.0, seed=config.seed,
             fault_plan=plan, retry=RetryPolicy(attempts=5),
         )
@@ -371,6 +371,24 @@ class TestFaultedService:
         resumed = HitlistService.resume(str(tmp_path))
         assert resumed.fault_plan == plan
         assert history_summary(resumed.run()) == history_summary(faulted_history)
+
+
+    def test_bootstrap_stands_down_on_a_dark_first_day(self, config):
+        """No APD round runs against a vantage that cannot probe.
+
+        The seeded input waits for the first working scan, whose APD
+        round then tests it against live probes.
+        """
+        plan = FaultPlan(seed=config.seed, outages=(VantageOutage(0, 0),))
+        service = HitlistService(
+            build_internet(config), config, fault_plan=plan
+        )
+        service.bootstrap(0)
+        assert service.metrics.counter_total("repro_apd_prefixes_tested_total") == 0
+        history = service.run([0, 8])
+        assert history.snapshots[0].degraded == ("vantage_outage",)
+        assert history.snapshots[1].metrics["apd_tested"] > 0
+        assert service.apd.aliased_count > 0
 
 
 class TestFlakySource:

@@ -127,13 +127,13 @@ def test_checkpoint_bytes_worker_invariant(config, checkpoint_dir, workers, refe
 
 
 def test_udp53_ground_truth_not_rewalked(config, monkeypatch):
-    """The fused pass answers UDP/53 from the same probe_batch walk."""
+    """The fused pass answers UDP/53 from the same probe_batch_arrays walk."""
     service = _build(config, workers=1)
     service.bootstrap(0)
     targets = list(service._scan_pool)
-    scanner = service.scanner
+    scanner = service.fleet.scanners[0]
 
-    calls = {"probe_batch": 0, "scan_udp53": 0}
+    calls = {"probe_batch": 0}
     original = scanner._internet.probe_batch_arrays
 
     def counting_probe_batch(*args, **kwargs):
@@ -144,8 +144,8 @@ def test_udp53_ground_truth_not_rewalked(config, monkeypatch):
         scanner._internet, "probe_batch_arrays", counting_probe_batch
     )
     monkeypatch.setattr(
-        scanner, "scan_udp53",
-        lambda *a, **k: pytest.fail("engine must not re-walk via scan_udp53"),
+        scanner._internet, "dns_probe",
+        lambda *a, **k: pytest.fail("engine must not re-walk via dns_probe"),
     )
     engine = ScanEngine(scanner, workers=1, chunk_size=CHUNK_SIZE)
     results, udp = engine.scan_all_protocols(targets, 0, "www.google.com")
@@ -178,10 +178,10 @@ def test_two_live_engines_do_not_clobber(config):
     qname = "www.google.com"
 
     engines = [
-        ScanEngine(service_a.scanner, workers=2, chunk_size=CHUNK_SIZE),
-        ScanEngine(service_b.scanner, workers=2, chunk_size=CHUNK_SIZE),
-        ScanEngine(service_a.scanner, workers=1, chunk_size=CHUNK_SIZE),
-        ScanEngine(service_b.scanner, workers=1, chunk_size=CHUNK_SIZE),
+        ScanEngine(service_a.fleet.scanners[0], workers=2, chunk_size=CHUNK_SIZE),
+        ScanEngine(service_b.fleet.scanners[0], workers=2, chunk_size=CHUNK_SIZE),
+        ScanEngine(service_a.fleet.scanners[0], workers=1, chunk_size=CHUNK_SIZE),
+        ScanEngine(service_b.fleet.scanners[0], workers=1, chunk_size=CHUNK_SIZE),
     ]
     par_a, par_b, ref_a, ref_b = engines
     try:

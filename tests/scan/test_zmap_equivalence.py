@@ -1,14 +1,19 @@
-"""Equivalence tests: the fused 4-protocol scan vs. individual scans."""
+"""Equivalence tests: the fused 4-protocol scan vs. individual scans.
+
+Individual scans come from the scalar oracle of :mod:`tests.scan.oracle`;
+its ``scan_all_protocols`` is the product's fused path, inherited.
+"""
 
 import pytest
 
 from repro.protocols import Protocol
 from repro.scan.zmap import ZMapScanner
+from tests.scan.oracle import OracleScanner, response_mask
 
 
 class TestScanAllProtocolsEquivalence:
     def test_lossless_equivalence(self, small_world):
-        scanner = ZMapScanner(small_world, loss_rate=0.0)
+        scanner = OracleScanner(small_world, loss_rate=0.0)
         targets = list(small_world.hosts)[:400]
         fused, _udp53 = scanner.scan_all_protocols(targets, 33, "www.google.com")
         for protocol in (Protocol.ICMP, Protocol.TCP80, Protocol.TCP443,
@@ -44,9 +49,12 @@ class TestScanAllProtocolsEquivalence:
         assert icmp and tcp
 
     def test_response_mask_matches_responds(self, small_world):
+        """The fused walk's masks agree with per-protocol ``responds``."""
         day = 60
-        for address in list(small_world.hosts)[:300]:
-            mask = small_world.response_mask(address, day)
+        addresses = list(small_world.hosts)[:300]
+        masks, _origins, _behaviors = small_world.probe_batch_arrays(addresses, day)
+        for address, mask in zip(addresses, masks):
+            assert mask == response_mask(small_world, address, day), address
             for protocol in (Protocol.ICMP, Protocol.TCP80, Protocol.TCP443,
                              Protocol.UDP443, Protocol.UDP53):
                 assert bool(mask & protocol) == small_world.responds(

@@ -1,4 +1,8 @@
-"""Tests for the ZMap scanner and Yarrp tracer."""
+"""Tests for the ZMap scanner and Yarrp tracer.
+
+Single-protocol scans go through the scalar oracle scanner of
+:mod:`tests.scan.oracle`; ``scan_all_protocols`` is the product path.
+"""
 
 import pytest
 
@@ -7,11 +11,12 @@ from repro.protocols import Protocol
 from repro.scan.blocklist import Blocklist
 from repro.scan.yarrp import YarrpTracer
 from repro.scan.zmap import ZMapScanner
+from tests.scan.oracle import OracleScanner, batch_responsive
 
 
 @pytest.fixture
 def lossless(small_world):
-    return ZMapScanner(small_world, loss_rate=0.0)
+    return OracleScanner(small_world, loss_rate=0.0)
 
 
 def _up_hosts(world, protocol, day, limit=200):
@@ -26,19 +31,19 @@ class TestZMapScan:
     def test_lossless_scan_matches_oracle(self, small_world, lossless):
         targets = list(small_world.hosts)[:300]
         result = lossless.scan(targets, Protocol.ICMP, 10)
-        expected = small_world.batch_responsive(targets, Protocol.ICMP, 10)
+        expected = batch_responsive(small_world, targets, Protocol.ICMP, 10)
         assert set(result.responders) == expected
         assert result.targets == 300
 
     def test_loss_reduces_responders(self, small_world):
         targets = _up_hosts(small_world, Protocol.ICMP, 10, limit=1000)
-        lossy = ZMapScanner(small_world, loss_rate=0.5, seed=1)
+        lossy = OracleScanner(small_world, loss_rate=0.5, seed=1)
         result = lossy.scan(targets, Protocol.ICMP, 10)
         assert 0 < len(result.responders) < len(targets)
 
     def test_loss_is_deterministic_per_day(self, small_world):
         targets = list(small_world.hosts)[:500]
-        scanner = ZMapScanner(small_world, loss_rate=0.2, seed=5)
+        scanner = OracleScanner(small_world, loss_rate=0.2, seed=5)
         a = scanner.scan(targets, Protocol.ICMP, 10)
         b = scanner.scan(targets, Protocol.ICMP, 10)
         assert a.responders == b.responders
@@ -51,7 +56,7 @@ class TestZMapScan:
         ]
         if len(stable) < 30:
             pytest.skip("not enough always-up hosts")
-        scanner = ZMapScanner(small_world, loss_rate=0.3, seed=5)
+        scanner = OracleScanner(small_world, loss_rate=0.3, seed=5)
         a = scanner.scan(stable, Protocol.ICMP, 10)
         b = scanner.scan(stable, Protocol.ICMP, 11)
         assert a.responders != b.responders
@@ -60,7 +65,7 @@ class TestZMapScan:
         target = next(iter(small_world.hosts))
         blocklist = Blocklist()
         blocklist.add(IPv6Prefix(target, 128))
-        scanner = ZMapScanner(small_world, blocklist=blocklist, loss_rate=0.0)
+        scanner = OracleScanner(small_world, blocklist=blocklist, loss_rate=0.0)
         result = scanner.scan([target], Protocol.ICMP, 0)
         assert result.targets == 0
         assert not result.responders
@@ -88,7 +93,7 @@ class TestUdp53Scan:
         cn_asn = next(iter(gfw._boundary.inside_asns))
         prefix = small_world.routing.base.prefixes_of(cn_asn)[0]
         dead_target = prefix.value | 0xDEADBEEF
-        scanner = ZMapScanner(small_world, loss_rate=0.0)
+        scanner = OracleScanner(small_world, loss_rate=0.0)
         result = scanner.scan_udp53([dead_target], day, "www.google.com")
         assert dead_target in result.responders
         assert all(r.injected for r in result.responses[dead_target])
@@ -99,7 +104,7 @@ class TestUdp53Scan:
         cn_asn = next(iter(gfw._boundary.inside_asns))
         prefix = small_world.routing.base.prefixes_of(cn_asn)[0]
         dead_target = prefix.value | 0xDEADBEEF
-        scanner = ZMapScanner(small_world, loss_rate=0.0)
+        scanner = OracleScanner(small_world, loss_rate=0.0)
         result = scanner.scan_udp53([dead_target], day, "www.google.com")
         assert dead_target not in result.responders
 
@@ -107,7 +112,7 @@ class TestUdp53Scan:
         dns_hosts = _up_hosts(small_world, Protocol.UDP53, 10)
         if not dns_hosts:
             pytest.skip("no DNS hosts up in this tiny world")
-        scanner = ZMapScanner(small_world, loss_rate=0.0)
+        scanner = OracleScanner(small_world, loss_rate=0.0)
         result = scanner.scan_udp53(dns_hosts, 10, "www.google.com")
         assert set(result.responders) == set(dns_hosts)
 
@@ -152,7 +157,7 @@ class TestYarrp:
 
 class TestUdp53HitRate:
     def test_hit_rate_matches_counts(self, small_world):
-        scanner = ZMapScanner(small_world, loss_rate=0.0)
+        scanner = OracleScanner(small_world, loss_rate=0.0)
         dns_hosts = _up_hosts(small_world, Protocol.UDP53, 10)
         if not dns_hosts:
             pytest.skip("no DNS hosts up in this tiny world")
@@ -162,7 +167,7 @@ class TestUdp53HitRate:
         assert 0.0 < result.hit_rate < 1.0
 
     def test_hit_rate_empty_scan(self, small_world):
-        scanner = ZMapScanner(small_world, loss_rate=0.0)
+        scanner = OracleScanner(small_world, loss_rate=0.0)
         result = scanner.scan_udp53([], 10, "www.google.com")
         assert result.targets == 0
         assert result.hit_rate == 0.0

@@ -41,8 +41,10 @@ class TestResponsiveness:
         assert small_world.responds(address, protocol, region.active_from)
 
     def test_batch_matches_single(self, small_world):
+        """The fused batch walk's ICMP bit agrees with ``responds``."""
         addresses = list(small_world.hosts)[:200]
-        batch = small_world.batch_responsive(addresses, Protocol.ICMP, 50)
+        masks, _origins, _behaviors = small_world.probe_batch_arrays(addresses, 50)
+        batch = {a for a, mask in zip(addresses, masks) if mask & Protocol.ICMP}
         singles = {a for a in addresses if small_world.responds(a, Protocol.ICMP, 50)}
         assert batch == singles
 

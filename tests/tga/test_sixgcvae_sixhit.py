@@ -4,8 +4,8 @@ import pytest
 
 from repro.net.address import parse_ipv6
 from repro.protocols import Protocol
-from repro.scan.zmap import ZMapScanner
 from repro.tga import SixGcVae, SixHit
+from tests.scan.oracle import OracleScanner
 
 BASE = parse_ipv6("2001:db8:300::")
 
@@ -90,7 +90,7 @@ class TestSixHitFeedback:
         truth = small_world.ground_truth
         seeds = sorted(truth.get("farm_discovered"))[:200]
         hidden = truth.get("farm_hidden")
-        scanner = ZMapScanner(small_world, loss_rate=0.0)
+        scanner = OracleScanner(small_world, loss_rate=0.0)
 
         def probe(candidates):
             return set(scanner.scan(sorted(candidates), Protocol.ICMP, 60).responders)

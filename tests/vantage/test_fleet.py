@@ -9,6 +9,7 @@ to the survivors, and the retry/backoff state round-trips through
 
 import pytest
 
+from repro.obs.metrics import MetricsRegistry
 from repro.runtime.faults import FaultPlan, VantageOutage
 from repro.scan.engine import ScanEngine
 from repro.scan.zmap import ZMapScanner
@@ -99,11 +100,10 @@ class TestFleetConstruction:
 
 class TestSingleVantageEquivalence:
     def test_matches_bare_engine_bitwise(self, config, targets):
-        """A one-member fleet is the plain engine plus bookkeeping."""
+        """A one-member fleet is the plain engine on the campaign seed."""
         world = build_internet(config)
-        spec = default_vantage_specs(world, config.seed, 1)[0]
         engine = ScanEngine(
-            ZMapScanner(world, seed=spec.seed), chunk_size=512
+            ZMapScanner(world, seed=config.seed), chunk_size=512
         )
         ref_results, ref_udp = engine.scan_all_protocols(targets, DAY, QNAME)
 
@@ -118,6 +118,33 @@ class TestSingleVantageEquivalence:
         # a single vantage has no panel, so nothing to disagree about
         assert report.witness_targets == 0
         assert report.disagreements == {}
+
+    def test_fleet_of_one_adds_nothing_of_its_own(self, config, world):
+        """No vantage metrics, snapshot block, checkpoint state or markers."""
+        plan = FaultPlan(
+            seed=config.seed,
+            outages=(VantageOutage(3, 4), VantageOutage(6, 9, vantage="vp0")),
+        )
+        registry = MetricsRegistry()
+        fleet = VantageFleet(
+            world, default_vantage_specs(world, config.seed, 1),
+            seed=config.seed, fault_plan=plan, metrics=registry,
+        )
+        assert fleet.plans == [plan]  # the campaign plan, unsalted
+        assert fleet.scanners[0]._seed == config.seed
+        down = fleet.roster(3)
+        assert down.all_down and fleet.member_faults(down) == []
+        assert fleet.snapshot_block(down) is None
+        # member-scoped outages do not apply to the campaign's own plan
+        assert not fleet.roster(7).all_down
+        assert fleet.dark_days_between(0, 10) == 2
+        assert fleet.checkpoint_fields() == (0, None)
+        fleet.restore_checkpoint_fields(42, None)
+        assert fleet.checkpoint_fields() == (42, None)
+        assert not [
+            family.name for family in registry.families()
+            if family.name.startswith("repro_vantage_")
+        ]
 
 
 class TestMultiVantageScan:
