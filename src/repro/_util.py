@@ -1,4 +1,5 @@
-"""Small shared helpers: stable hashing, seeded RNG derivation, dates.
+"""Small shared helpers: stable hashing, seeded RNG derivation, dates,
+durable file writes.
 
 The whole reproduction must be deterministic under a single scenario seed,
 so components never call :func:`random.random` directly — they derive
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import datetime
 import hashlib
+import os
 import random
 
 #: Day 0 of the simulated timeline (first IPv6 Hitlist scan in the paper).
@@ -63,3 +65,24 @@ def mix64(value: int) -> int:
     value = (value ^ (value >> 30)) * 0xBF58476D1CE4E5B9 & 0xFFFFFFFFFFFFFFFF
     value = (value ^ (value >> 27)) * 0x94D049BB133111EB & 0xFFFFFFFFFFFFFFFF
     return value ^ (value >> 31)
+
+
+def atomic_write(path: str, data: bytes) -> None:
+    """Durably replace ``path`` with ``data``.
+
+    Writes a ``.tmp`` sibling, fsyncs it, renames it over ``path`` and
+    then fsyncs the parent directory: a POSIX rename is not durable until
+    the directory entry that records it is.  Readers see the old bytes or
+    the new ones, never a torn file.
+    """
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as handle:
+        handle.write(data)
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(tmp, path)
+    directory = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)

@@ -26,6 +26,7 @@ from repro.obs.tracing import Tracer
 from repro.protocols import ALL_PROTOCOLS, Protocol
 from repro.runtime.faults import FaultPlan, RetryPolicy
 from repro.scan.blocklist import Blocklist
+from repro.scan.loss import LossModel
 from repro.scan.scheduler import (
     DEFAULT_REFRESH_INTERVAL,
     DEFAULT_SAMPLE_RATE,
@@ -350,9 +351,12 @@ class HitlistService:
                 seed=config.seed,
                 refresh_interval=self.settings.refresh_interval,
                 sample_rate=self.settings.sample_rate,
-                loss_rate=self.settings.loss_rate,
-                retry_attempts=self.settings.retry_attempts,
-                fault_plan=fault_plan,
+                loss=LossModel(
+                    seed=config.seed,
+                    loss_rate=self.settings.loss_rate,
+                    attempts=1 if retry is None else retry.attempts,
+                    fault_plan=fault_plan,
+                ),
                 metrics=self.metrics,
             )
         self.tracer = YarrpTracer(

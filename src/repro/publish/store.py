@@ -50,6 +50,7 @@ import os
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
+from repro._util import atomic_write
 from repro.hitlist.export import write_address_list, write_aliased_prefixes
 from repro.protocols import ALL_PROTOCOLS, Protocol
 
@@ -160,15 +161,6 @@ def _snapshot_id(scan_day: int, parent: Optional[str],
     return hashlib.sha256(core.encode("utf-8")).hexdigest()
 
 
-def _atomic_write(path: str, data: bytes) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as handle:
-        handle.write(data)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-
-
 class SnapshotStore:
     """Commit, enumerate and read back publication snapshots.
 
@@ -231,7 +223,7 @@ class SnapshotStore:
         body = self.read_blob_bytes(digest)
         if len(body) < GZIP_THRESHOLD:
             return None
-        _atomic_write(path, compress_blob(body))
+        atomic_write(path, compress_blob(body))
         return path
 
     def _write_blob(self, text: str) -> Tuple[str, int, bool]:
@@ -242,8 +234,8 @@ class SnapshotStore:
             return digest, len(body), False
         os.makedirs(os.path.dirname(path), exist_ok=True)
         if len(body) >= GZIP_THRESHOLD:
-            _atomic_write(path + ".gz", compress_blob(body))
-        _atomic_write(path, body)
+            atomic_write(path + ".gz", compress_blob(body))
+        atomic_write(path, body)
         return digest, len(body), True
 
     def commit(self, scan_day: int, artifacts: Mapping[str, str]) -> Manifest:
@@ -282,7 +274,7 @@ class SnapshotStore:
         duplicate = os.path.exists(path)
         if not duplicate:
             body = json.dumps(manifest.to_dict(), indent=2, sort_keys=True) + "\n"
-            _atomic_write(path, body.encode("utf-8"))
+            atomic_write(path, body.encode("utf-8"))
             self._update_head()
         self._manifest_cache[snapshot_id] = manifest
         if self._m_commits is not None:
@@ -304,7 +296,7 @@ class SnapshotStore:
     def _update_head(self) -> None:
         manifests = self.manifests()
         if manifests:
-            _atomic_write(
+            atomic_write(
                 os.path.join(self.root, "HEAD"),
                 (manifests[-1].snapshot_id + "\n").encode("ascii"),
             )
@@ -417,7 +409,7 @@ class SnapshotStore:
             inflated = b""
         if hashlib.sha256(inflated).hexdigest() != digest:
             packed = compress_blob(self.read_blob_bytes(digest))
-            _atomic_write(path, packed)
+            atomic_write(path, packed)
         return packed
 
     def precompress_all(self) -> int:

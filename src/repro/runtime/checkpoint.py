@@ -28,6 +28,7 @@ import os
 import zlib
 from typing import Any, Dict, List, Optional, Sequence, TYPE_CHECKING
 
+from repro._util import atomic_write
 from repro.net.prefix import IPv6Prefix
 from repro.net.trie import PrefixTrie
 from repro.protocols import ALL_PROTOCOLS
@@ -62,13 +63,7 @@ def write_checkpoint(path: str, payload: Dict[str, Any]) -> None:
     header = b"%s %d %s %d\n" % (
         _MAGIC, CHECKPOINT_VERSION, digest.encode("ascii"), len(body),
     )
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as handle:
-        handle.write(header)
-        handle.write(body)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
+    atomic_write(path, header + body)
 
 
 def _resolve_checkpoint_file(path: str) -> str:

@@ -36,8 +36,6 @@ from repro.protocols import ALL_PROTOCOLS, Protocol
 
 _M64 = 0xFFFFFFFFFFFFFFFF
 _UINT64_SPAN = 1 << 64
-#: odd 64-bit constant mixed per retry attempt so re-draws are independent
-RETRY_SALT = 0x9E3779B97F4A7C15
 
 _LABEL_TO_PROTOCOL = {protocol.label: protocol for protocol in ALL_PROTOCOLS}
 

@@ -9,6 +9,7 @@ the measurement ethics of Sec. 3.3.
 
 from repro.scan.blocklist import Blocklist
 from repro.scan.engine import ScanEngine
+from repro.scan.loss import LossModel
 from repro.scan.scheduler import CarriedScan, IncrementalScheduler, ScanPlan
 from repro.scan.zmap import ScanResult, Udp53Result, ZMapScanner
 from repro.scan.yarrp import YarrpTracer
@@ -23,6 +24,7 @@ __all__ = [
     "DnsScanner",
     "FingerprintClass",
     "IncrementalScheduler",
+    "LossModel",
     "PrefixFingerprint",
     "ScanEngine",
     "ScanPlan",

@@ -42,9 +42,8 @@ from repro.net.teredo import TEREDO_PREFIX
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Tracer
 from repro.protocols import DnsAnswer, DnsResponse, DnsStatus, Protocol, RecordType
-from repro.runtime.faults import RETRY_SALT
 from repro.scan import wire
-from repro.scan.vecmix import bulk_mix64_xor, lane_kit, pack_lanes, survive16, survive64, unpack_lanes
+from repro.scan.vecmix import bulk_mix64_xor, pack_bases, pack_padded, unpack_lanes
 from repro.scan.wire import PackedChunkResult
 from repro.simnet.gfwsim import _TEREDO_SERVERS, InjectionMode
 from repro.simnet.hosts import DnsBehavior
@@ -54,11 +53,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.scan.zmap import ScanResult, Udp53Result, ZMapScanner
 
 _M64 = 0xFFFFFFFFFFFFFFFF
-# SplitMix64 finalizer constants (kept in sync with repro._util.mix64,
-# inlined in the remaining scalar loops below)
-_MIX_C1 = 0xBF58476D1CE4E5B9
-_MIX_C2 = 0x94D049BB133111EB
-_FAST_SALT = 0x5CA11
 _TEREDO_BASE = TEREDO_PREFIX.value
 
 #: the four cheap protocols probed from one fused 64-bit loss draw, in
@@ -88,38 +82,21 @@ class _ScanContext:
     """Per-(scanner, day, qname) constants hoisted out of the hot loop."""
 
     __slots__ = (
-        "attempts", "loss_threshold", "threshold16", "fast_inner",
-        "udp_inner", "inject_possible", "gfw_era", "resolved", "answers",
+        "inject_possible", "gfw_era", "resolved", "answers",
         "is_control", "mday", "referral_answers", "broken_answers",
         "inject_day_hash", "burst_cut", "inj_wide", "inj_ranges",
     )
 
     def __init__(self, scanner: "ZMapScanner", day: int, qname: str) -> None:
         internet = scanner._internet
-        seed = scanner._seed
-        self.attempts = scanner._retry_attempts
-        self.loss_threshold = scanner._loss_threshold
-        self.threshold16 = int(scanner._loss_rate * 65536.0)
-        # inner mix64 of the loss formulas: constant per (day, attempt)
-        self.fast_inner = tuple(
-            mix64((day << 8) ^ seed ^ _FAST_SALT ^ ((attempt * RETRY_SALT) & _M64))
-            for attempt in range(self.attempts)
-        )
-        self.udp_inner = tuple(
-            mix64(
-                (day << 8) ^ int(Protocol.UDP53) ^ seed
-                ^ ((attempt * RETRY_SALT) & _M64)
-            )
-            for attempt in range(self.attempts)
-        )
         gfw = internet.gfw
         self.gfw_era = gfw.active_era(day)
         self.inject_possible = (
             self.gfw_era is not None and gfw.is_blocked(qname)
         )
-        # injection-draw constants (GreatFirewall.inject_prepared, hoisted)
+        # injection-draw constants (GreatFirewall.inject, hoisted)
         self.inject_day_hash = mix64(day ^ gfw._seed)
-        # kept as float: inject_prepared compares the modulus against
+        # kept as float: inject compares the modulus against
         # probability*1e6 unrounded, and the boundary draw must agree
         self.burst_cut = gfw._burst_probability * 1_000_000
         self.inj_wide = (
@@ -143,6 +120,15 @@ class _ScanContext:
         self.broken_answers = (DnsAnswer(rtype=RecordType.AAAA, address=1),)
 
 
+def _retry(attempts: List[bytes], index: int) -> Tuple[bool, int]:
+    """Whether a probe lost at its first attempt survives a re-draw of
+    ``attempts`` (per-attempt survival bytes), and the re-draws taken."""
+    for attempt in range(1, len(attempts)):
+        if attempts[attempt][index]:
+            return True, attempt
+    return False, len(attempts) - 1
+
+
 def _scan_chunk_packed(
     scanner: "ZMapScanner",
     targets: Sequence[int],
@@ -164,7 +150,7 @@ def _scan_chunk_packed(
     mutated, so chunks can run in any process or thread.
     """
     internet = scanner._internet
-    plan = scanner._fault_plan
+    loss = scanner.loss
     result = PackedChunkResult()
 
     # blocklist filter; live targets keep their pool-global index
@@ -190,17 +176,11 @@ def _scan_chunk_packed(
 
     # correlated loss bursts kill every probe of a target at once and
     # are not retryable — drop those targets before any draw
-    if plan is not None:
-        burst_lost = plan.burst_lost
-        kept: List[int] = []
-        kept_idx: List[int] = []
-        for target, gidx in zip(live, live_idx):
-            if burst_lost(target, day):
-                result.burst_targets += 1
-            else:
-                kept.append(target)
-                kept_idx.append(gidx)
-        live, live_idx = kept, kept_idx
+    lost = loss.burst_lost(live, day)
+    if lost is not None:
+        result.burst_targets = sum(lost)
+        live = [target for target, gone in zip(live, lost) if not gone]
+        live_idx = [gidx for gidx, gone in zip(live_idx, lost) if not gone]
 
     n = len(live)
     if n == 0:
@@ -208,36 +188,11 @@ def _scan_chunk_packed(
 
     masks, asns, behaviors = internet.probe_batch_arrays(live, day, qname)
 
-    # bulk SplitMix64: one 64-bit base per target, padded to a
-    # power-of-two lane count so the LaneKit memo stays tiny
-    attempts = ctx.attempts
-    threshold16 = ctx.threshold16
-    loss_threshold = ctx.loss_threshold
-    size = 1 << (n - 1).bit_length() if n > 1 else 1
-    kit = lane_kit(size)
-    bases = [(target & _M64) ^ (target >> 64) for target in live]
-    if size != n:
-        bases.extend([0] * (size - n))
-    packed = pack_lanes(bases)
-
-    if threshold16:
-        nibs = [
-            survive16(bulk_mix64_xor(packed, inner, kit), threshold16, kit)
-            for inner in ctx.fast_inner
-        ]
-        nib0 = nibs[0]
-    else:
-        nib0 = b"\x0f" * n
-        nibs = [nib0]
-    if loss_threshold:
-        oks = [
-            survive64(bulk_mix64_xor(packed, inner, kit), loss_threshold, kit)
-            for inner in ctx.udp_inner
-        ]
-        ok0 = oks[0]
-    else:
-        ok0 = b"\x01" * n
-        oks = [ok0]
+    # bulk SplitMix64 over all targets of the chunk: per-attempt loss
+    # survival of the fused fast draw and of the UDP/53 draw
+    packed, kit = lanes = pack_bases(live)
+    nibs = loss.survival(lanes, day)
+    oks = loss.survival(lanes, day, Protocol.UDP53)
 
     inject_possible = ctx.inject_possible
     if inject_possible:
@@ -256,7 +211,6 @@ def _scan_chunk_packed(
     )
     control_flag = wire.FLAG_CONTROL if ctx.is_control else 0
     mday = ctx.mday
-    single = attempts == 1
 
     fast0, fast1, fast2, fast3 = result.fast_idx
     f0_append = fast0.append
@@ -270,19 +224,19 @@ def _scan_chunk_packed(
     udp_draws = 0
 
     for i, (gidx, target, mask, behavior, s, ok) in enumerate(
-        zip(live_idx, live, masks, behaviors, nib0, ok0)
+        zip(live_idx, live, masks, behaviors, nibs[0], oks[0])
     ):
         # fast protocols: four probes drawn from disjoint 16-bit slices
-        # of one 64-bit hash
+        # of one 64-bit hash, re-drawn until every slice survived once
         if mask:
-            if not single and threshold16 and s != 0b1111:
-                for attempt in range(1, attempts):
+            if s != 0b1111:
+                for attempt in range(1, len(nibs)):
                     s |= nibs[attempt][i]
                     if s == 0b1111:
                         fast_draws += attempt
                         break
                 else:
-                    fast_draws += attempts - 1
+                    fast_draws += len(nibs) - 1
             if s & 1 and mask & 1:  # ICMP
                 f0_append(gidx)
             if s & 2 and mask & 2:  # TCP80
@@ -295,15 +249,9 @@ def _scan_chunk_packed(
         # UDP/53: loss is drawn for every non-burst target (the GFW can
         # inject even when the target itself is dead)
         if not ok:
-            lost = True
-            for attempt in range(1, attempts):
-                if oks[attempt][i]:
-                    udp_draws += attempt
-                    lost = False
-                    break
-            else:
-                udp_draws += attempts - 1
-            if lost:
+            ok, draws = _retry(oks, i)
+            udp_draws += draws
+            if not ok:
                 continue
 
         meta = 0
@@ -328,10 +276,7 @@ def _scan_chunk_packed(
                 meta |= code
             elif behavior is DnsBehavior.BROKEN:
                 # SimInternet._answer_as: parity of mix64(target ^ mix64(day))
-                value = (target ^ mday) & _M64
-                value = ((value ^ (value >> 30)) * _MIX_C1) & _M64
-                value = ((value ^ (value >> 27)) * _MIX_C2) & _M64
-                if (value ^ (value >> 31)) % 2:
+                if mix64(target ^ mday) % 2:
                     meta |= wire.GENUINE_SERVFAIL
                 else:
                     meta |= wire.GENUINE_BROKEN_ANSWER
@@ -358,11 +303,8 @@ def _scan_chunk_packed(
         for base_draw, count in inj_xor:
             flat.extend(base_draw ^ k for k in range(1, count + 1))
         total = len(flat)
-        size = 1 << (total - 1).bit_length() if total > 1 else 1
-        kit = lane_kit(size)
-        if size != total:
-            flat.extend([0] * (size - total))
-        draws = unpack_lanes(bulk_mix64_xor(pack_lanes(flat), 0, kit), kit)
+        packed, kit = pack_padded(flat)
+        draws = unpack_lanes(bulk_mix64_xor(packed, 0, kit), kit)
         ranges = ctx.inj_ranges
         nranges = len(ranges)
         answers_append = result.inj_answers.append
@@ -611,7 +553,7 @@ class ScanEngine:
         from repro.scan.zmap import ScanResult, Udp53Result
 
         scanner = self._scanner
-        plan = scanner._fault_plan
+        plan = scanner.loss.fault_plan
         udp53 = Udp53Result(day=day, qname=qname)
         if not isinstance(targets, list):
             targets = list(targets)
@@ -912,7 +854,7 @@ def apd_probe_pass(
     """
     if not prefix_probes:
         return []
-    plan = scanner._fault_plan
+    plan = scanner.loss.fault_plan
     internet = scanner._internet
     blocklist = scanner._blocklist
     if len(blocklist):
@@ -927,116 +869,60 @@ def apd_probe_pass(
     masks, _origins, _behaviors = internet.probe_batch_arrays(
         flat, day, origins=False
     )
-    seed = scanner._seed
-    attempts = scanner._retry_attempts
-    loss_threshold = scanner._loss_threshold
-    icmp_inner = tuple(
-        mix64(
-            (day << 8) ^ int(Protocol.ICMP) ^ seed
-            ^ ((attempt * RETRY_SALT) & _M64)
+    # one bulk loss draw per protocol for the whole wave
+    loss = scanner.loss
+    lost = loss.burst_lost(flat, day)
+    streams = [
+        (
+            protocol, bit, loss.survival_of(flat, day, protocol),
+            plan is not None and plan.limits_protocol(protocol),
         )
-        for attempt in range(attempts)
-    )
-    tcp_inner = tuple(
-        mix64(
-            (day << 8) ^ int(Protocol.TCP80) ^ seed
-            ^ ((attempt * RETRY_SALT) & _M64)
-        )
-        for attempt in range(attempts)
-    )
-    limited_icmp = plan is not None and plan.limits_protocol(Protocol.ICMP)
-    limited_tcp = plan is not None and plan.limits_protocol(Protocol.TCP80)
-    burst_lost = None if plan is None else plan.burst_lost
+        for protocol, bit in ((Protocol.ICMP, 1), (Protocol.TCP80, 2))
+    ]
 
     def origin(address: int) -> Optional[int]:
         return internet.origin_as(address, day)
 
-    metrics = scanner._metrics
-    if metrics is not None:
-        icmp_label = Protocol.ICMP.label
-        tcp_label = Protocol.TCP80.label
-        m_probes = (
-            scanner._m_probes.labels(protocol=icmp_label),
-            scanner._m_probes.labels(protocol=tcp_label),
-        )
-        m_hits = (
-            scanner._m_hits.labels(protocol=icmp_label),
-            scanner._m_hits.labels(protocol=tcp_label),
-        )
     out: List[Tuple[set, set]] = []
     offset = 0
     for scannable in scannables:
         count = len(scannable)
-        prefix_masks = masks[offset:offset + count]
+        kept = range(offset, offset + count)
         offset += count
-        icmp_responders: set = set()
-        tcp_responders: set = set()
-        burst_suppressed = 0
-        icmp_draws = 0
-        tcp_draws = 0
-        for probe, mask in zip(scannable, prefix_masks):
-            if burst_lost is not None and burst_lost(probe, day):
-                burst_suppressed += 1
-                continue
-            base = (probe & _M64) ^ (probe >> 64)
-            for inner, bit, responders, is_icmp in (
-                (icmp_inner, 1, icmp_responders, True),
-                (tcp_inner, 2, tcp_responders, False),
-            ):
-                if loss_threshold:
-                    lost = True
-                    for attempt in range(attempts):
-                        value = (base ^ inner[attempt]) & _M64
-                        value = ((value ^ (value >> 30)) * _MIX_C1) & _M64
-                        value = ((value ^ (value >> 27)) * _MIX_C2) & _M64
-                        if (value ^ (value >> 31)) >= loss_threshold:
-                            if is_icmp:
-                                icmp_draws += attempt
-                            else:
-                                tcp_draws += attempt
-                            lost = False
-                            break
-                    else:
-                        if is_icmp:
-                            icmp_draws += attempts - 1
-                        else:
-                            tcp_draws += attempts - 1
-                    if lost:
-                        continue
-                if mask & bit:
-                    responders.add(probe)
-        rate_limited_icmp = 0
-        rate_limited_tcp = 0
-        if limited_icmp:
-            suppressed = plan.suppressed_responders(
-                scannable, Protocol.ICMP, day, origin
-            )
-            rate_limited_icmp = len(icmp_responders & suppressed)
-            icmp_responders -= suppressed
-        if limited_tcp:
-            suppressed = plan.suppressed_responders(
-                scannable, Protocol.TCP80, day, origin
-            )
-            rate_limited_tcp = len(tcp_responders & suppressed)
-            tcp_responders -= suppressed
+        if lost is not None:
+            kept = [j for j in kept if not lost[j]]
+        total_draws = 0
+        found = []
+        for protocol, bit, oks, limited in streams:
+            responders: set = set()
+            ok0 = oks[0]
+            for j in kept:
+                ok = ok0[j]
+                if not ok:
+                    ok, draws = _retry(oks, j)
+                    total_draws += draws
+                if ok and masks[j] & bit:
+                    responders.add(flat[j])
+            rate_limited = 0
+            if limited:
+                suppressed = plan.suppressed_responders(
+                    scannable, protocol, day, origin
+                )
+                rate_limited = len(responders & suppressed)
+                responders -= suppressed
+            found.append((responders, rate_limited))
         scanner.probes_sent += 2 * count
-        if metrics is not None:
-            total_draws = icmp_draws + tcp_draws
+        if scanner._metrics is not None:
             if total_draws:
                 scanner._m_retries.inc(total_draws)
-            if burst_suppressed:
+            if count > len(kept):
                 # each burst swallows both the ICMP and the TCP/80 probe
-                scanner._m_burst.inc(2 * burst_suppressed)
-            for index, (hits, limited_count) in enumerate((
-                (icmp_responders, rate_limited_icmp),
-                (tcp_responders, rate_limited_tcp),
-            )):
-                m_probes[index].inc(count)
-                m_hits[index].inc(len(hits))
-                if limited_count:
-                    label = icmp_label if index == 0 else tcp_label
-                    scanner._m_rate_limited.labels(protocol=label).inc(
-                        limited_count
-                    )
-        out.append((icmp_responders, tcp_responders))
+                scanner._m_burst.inc(2 * (count - len(kept)))
+            for (protocol, *_), (responders, rate_limited) in zip(streams, found):
+                label = protocol.label
+                scanner._m_probes.labels(protocol=label).inc(count)
+                scanner._m_hits.labels(protocol=label).inc(len(responders))
+                if rate_limited:
+                    scanner._m_rate_limited.labels(protocol=label).inc(rate_limited)
+        out.append((found[0][0], found[1][0]))
     return out

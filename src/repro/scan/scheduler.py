@@ -26,8 +26,9 @@ construction.
 Carrying a result forward does NOT mean replaying yesterday's
 responder set verbatim.  The carry store keeps an estimated
 *ground-truth response mask* per address (which protocols the host
-answers, plus a GFW-injection flag), and replay re-applies the
-scanner's per-day loss draws — pure SplitMix64 functions of (address,
+answers, plus a GFW-injection flag), and replay re-applies the day's
+loss draws through the same :class:`~repro.scan.loss.LossModel` the
+scan engine probes with — pure SplitMix64 functions of (address,
 protocol, day, seed) that need no probe to evaluate.  For a prefix
 whose ground truth has not changed, the replayed responders are
 bit-identical to what a real probe would have returned, including the
@@ -45,18 +46,15 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, TYPE_CH
 
 from repro._util import mix64
 from repro.protocols import Protocol
-from repro.runtime.faults import RETRY_SALT
+from repro.scan.loss import LossModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.gfw.filter import CleaningResult
+    from repro.gfw.filter import ScanCleaningResult
     from repro.obs.metrics import MetricsRegistry
-    from repro.runtime.faults import FaultPlan
     from repro.scan.zmap import ScanResult, Udp53Result
 
 _M64 = 0xFFFFFFFFFFFFFFFF
 _UINT64_SPAN = float(1 << 64)
-#: fused fast-probe loss salt (must match the scan engine)
-_FAST_SALT = 0x5CA11
 #: salt separating the confirmation-sample lottery from every other
 #: SplitMix64 stream in the simulation
 _SAMPLE_SALT = 0x5C4ED5C4ED
@@ -71,7 +69,8 @@ _GROUP_SHIFT = 16
 #: renumbering wave lands across the pool's /48s but inside one /40
 _ROTATION_SHIFT = 24
 
-#: carry-store bits, one per protocol
+#: carry-store bits, one per protocol; the five responder bits line up
+#: with :meth:`LossModel.replay_masks`
 BIT_ICMP = 0x01
 BIT_TCP80 = 0x02
 BIT_TCP443 = 0x04
@@ -80,7 +79,6 @@ BIT_UDP53 = 0x10
 #: the address's UDP/53 responses carried injection evidence
 BIT_INJECTED = 0x20
 _RESPONDER_BITS = 0x1F
-_FAST_MASK = 0x0F
 #: an address whose only "response" is a forged GFW injection: quiet in
 #: the cleaned view (the filter subtracts it), but its replay must keep
 #: flowing or the 30-day filter would age it out earlier than full mode
@@ -195,10 +193,11 @@ class IncrementalScheduler:
 
     Priorities are fleet-global: the scheduler runs in the coordinator
     before sharding, so vantage members see only the probe set and
-    shard it exactly as before.  Loss replay uses the coordinator seed;
-    fleet members draw loss from per-vantage seeds, so multi-vantage
-    incremental runs trade a little extra divergence for the same probe
-    savings (the gate's bit-exactness claim is single-vantage).
+    shard it exactly as before.  ``loss`` is the coordinator's loss
+    model (default: ``LossModel(seed)``); fleet members draw loss from
+    per-vantage seeds, so multi-vantage incremental runs trade a little
+    extra divergence for the same probe savings (the gate's
+    bit-exactness claim is single-vantage).
     """
 
     def __init__(
@@ -206,9 +205,7 @@ class IncrementalScheduler:
         seed: int = 0,
         refresh_interval: int = DEFAULT_REFRESH_INTERVAL,
         sample_rate: float = DEFAULT_SAMPLE_RATE,
-        loss_rate: float = 0.03,
-        retry_attempts: int = 1,
-        fault_plan: Optional["FaultPlan"] = None,
+        loss: Optional[LossModel] = None,
         metrics: Optional["MetricsRegistry"] = None,
     ) -> None:
         if refresh_interval < 1:
@@ -219,12 +216,8 @@ class IncrementalScheduler:
         self.refresh_interval = refresh_interval
         self.sample_rate = sample_rate
         self._sample_threshold = int(sample_rate * _UINT64_SPAN)
-        # the scanner's loss-draw parameters, mirrored exactly (see
-        # ZMapScanner._lost and the engine's fused fast-probe draw)
-        self._threshold16 = int(loss_rate * 65536.0)
-        self._threshold64 = int(loss_rate * _UINT64_SPAN)
-        self._attempts = retry_attempts
-        self._fault_plan = fault_plan
+        #: the loss draws replayed over carried and probed prefixes
+        self.loss = loss if loss is not None else LossModel(seed)
         self._prefixes: Dict[int, PrefixPriority] = {}
         #: address -> estimated ground-truth response-mask bits
         self._carry: Dict[int, int] = {}
@@ -275,58 +268,6 @@ class IncrementalScheduler:
         if bits & BIT_UDP53 and not bits & BIT_INJECTED:
             visible |= BIT_UDP53
         return visible
-
-    # ------------------------------------------------------------------
-    # loss replay
-
-    def _survivors(self, target: int, day: int) -> int:
-        """Which of the five probes would survive loss on ``day``.
-
-        Replays the scanner's deterministic draws: the fused 64-bit
-        fast-protocol draw (16-bit slice per protocol), the per-protocol
-        UDP/53 draw, retry re-draws, and correlated loss bursts.  Pure
-        computation — no ground-truth access, no probe budget.
-        """
-        plan = self._fault_plan
-        if plan is not None and plan.burst_lost(target, day):
-            return 0
-        base = (target & _M64) ^ (target >> 64)
-        if self._threshold16:
-            surviving = 0
-            for attempt in range(self._attempts):
-                draw = mix64(
-                    base
-                    ^ mix64(
-                        (day << 8)
-                        ^ self._seed
-                        ^ _FAST_SALT
-                        ^ ((attempt * RETRY_SALT) & _M64)
-                    )
-                )
-                for index in range(4):
-                    if ((draw >> (16 * index)) & 0xFFFF) >= self._threshold16:
-                        surviving |= 1 << index
-                if surviving == _FAST_MASK:
-                    break
-        else:
-            surviving = _FAST_MASK
-        if self._threshold64:
-            for attempt in range(self._attempts):
-                draw = mix64(
-                    base
-                    ^ mix64(
-                        (day << 8)
-                        ^ int(Protocol.UDP53)
-                        ^ self._seed
-                        ^ ((attempt * RETRY_SALT) & _M64)
-                    )
-                )
-                if draw >= self._threshold64:
-                    surviving |= BIT_UDP53
-                    break
-        else:
-            surviving |= BIT_UDP53
-        return surviving
 
     # ------------------------------------------------------------------
     # planning
@@ -459,18 +400,17 @@ class IncrementalScheduler:
         """Replay the carried targets' responders for the plan's day.
 
         Each address's estimated response mask is filtered through the
-        day's loss draws, so a carried prefix with unchanged ground
-        truth merges bit-identically to a real probe of it.
+        day's loss draws (one bulk :meth:`LossModel.replay_masks` call),
+        so a carried prefix with unchanged ground truth merges
+        bit-identically to a real probe of it.
         """
         fast: Tuple[Set[int], ...] = tuple(set() for _ in FAST_BITS)
         udp: Set[int] = set()
-        day = plan.day
         carry = self._carry
-        for address in plan.carried:
-            bits = carry.get(address, 0)
-            if not bits:
-                continue
-            live = bits & self._survivors(address, day)
+        replayed = [address for address in plan.carried if carry.get(address, 0)]
+        survival = self.loss.replay_masks(replayed, plan.day)
+        for address, survivors in zip(replayed, survival):
+            live = carry[address] & survivors
             if not live:
                 continue
             for index, (_, bit) in enumerate(FAST_BITS):
@@ -497,7 +437,7 @@ class IncrementalScheduler:
         plan: ScanPlan,
         results: Dict[Protocol, "ScanResult"],
         udp53: "Udp53Result",
-        cleaning: "CleaningResult",
+        cleaning: "ScanCleaningResult",
     ) -> None:
         """Fold probed outcomes back into the priority + carry state.
 
@@ -515,6 +455,10 @@ class IncrementalScheduler:
         udp_responders = udp53.responders
         injected = cleaning.injected_responders
         repairs = 0
+        survival = iter(self.loss.replay_masks(
+            [address for _, members in plan.probe_groups for address in members],
+            day,
+        ))
         # pass 1: fold observations into the carry store and classify
         # each probed prefix; /48 rotation detection needs the whole
         # scan's transitions before any priority state is updated
@@ -535,7 +479,7 @@ class IncrementalScheduler:
                     observed |= BIT_UDP53
                     if address in injected:
                         observed |= BIT_INJECTED
-                survivors = self._survivors(address, day)
+                survivors = next(survival)
                 estimate = carry.get(address, 0)
                 expected = estimate & survivors
                 if expected & BIT_UDP53 and estimate & BIT_INJECTED:

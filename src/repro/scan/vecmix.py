@@ -1,8 +1,10 @@
 """Bulk SplitMix64 draws over big-integer SIMD lanes (stdlib only).
 
-The scan engine draws one 64-bit SplitMix64 hash per (target, protocol
-group, attempt).  Done per target in Python, the finalizer's two 64-bit
-multiplies plus five shift/xor steps dominate the probe stage.  This
+The probe path draws one 64-bit SplitMix64 hash per (target, protocol
+group, attempt) — loss draws through :mod:`repro.scan.loss`, GFW
+injection draws in the scan engine.  Done per target in Python, the
+finalizer's two 64-bit multiplies plus five shift/xor steps dominate
+the probe stage.  This
 module computes the same draws for a whole chunk at once by packing one
 64-bit value per *128-bit lane* of a single Python big integer:
 
@@ -20,14 +22,14 @@ probe stage's draw loops is 2-3x at the default chunk size (4096).
 
 Every function here is bit-exact against :func:`repro._util.mix64`:
 ``tests/scan/test_vecmix.py`` pins the equivalence property-based, and
-the incremental scheduler's replay gate pins it end to end (the carry
-store's loss replay must match the engine's draws bit for bit).
+``tests/scan/test_loss.py`` pins the loss draws built on it against
+the scalar test oracle.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List
+from typing import Dict, List, Sequence, Tuple
 
 _M64 = 0xFFFFFFFFFFFFFFFF
 # SplitMix64 finalizer constants (same values as repro._util.mix64)
@@ -59,7 +61,8 @@ class LaneKit:
         self.mask64 = self.rep1 * _M64
         #: 0xFFFF in every lane
         self.rep16 = self.rep1 * 0xFFFF
-        #: memo of other per-lane repeat constants, keyed by constant
+        #: memo of other per-lane repeat constants (survival thresholds),
+        #: keyed by constant
         self._reps: Dict[int, int] = {}
 
     def rep(self, constant: int) -> int:
@@ -97,6 +100,21 @@ def pack_lanes(values: List[int]) -> int:
     return int.from_bytes(buf, "little")
 
 
+def pack_padded(values: List[int]) -> Tuple[int, LaneKit]:
+    """:func:`pack_lanes` of ``values`` padded with zero lanes to a
+    power-of-two count (so the :func:`lane_kit` memo stays tiny), and
+    the kit for that count."""
+    n = len(values)
+    size = 1 << (n - 1).bit_length() if n > 1 else 1
+    return pack_lanes(values + [0] * (size - n)), lane_kit(size)
+
+
+def pack_bases(targets: Sequence[int]) -> Tuple[int, LaneKit]:
+    """:func:`pack_padded` of every target's SplitMix64 base: each
+    per-target draw hashes ``low64 ^ high64`` of the address."""
+    return pack_padded([(target & _M64) ^ (target >> 64) for target in targets])
+
+
 def unpack_lanes(packed: int, kit: LaneKit) -> array:
     """The low 64 bits of every lane as an ``array('Q')``.
 
@@ -117,7 +135,9 @@ def bulk_mix64_xor(packed: int, inner: int, kit: LaneKit) -> int:
     so this one call is the whole per-target draw.
     """
     mask = kit.mask64
-    v = packed ^ kit.rep(inner)
+    # not memoized in the kit: an inner hash serves one scan day, so a
+    # memo would keep 16 bytes per lane for every day of a campaign
+    v = packed ^ (kit.rep1 * inner)
     v = (v ^ (v >> 30)) & mask
     v = (v * _MIX_C1) & mask
     v = (v ^ (v >> 27)) & mask

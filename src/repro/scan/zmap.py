@@ -2,8 +2,9 @@
 
 One probe module per hitlist protocol (ICMP echo, TCP SYN 80/443, UDP
 DNS 53, QUIC initial 443).  The scanner adds the real-world artefact the
-oracle does not model: per-probe packet loss, deterministic per
-(address, protocol, day) so re-running a scan reproduces it while
+oracle does not model: per-probe packet loss (:mod:`repro.scan.loss`),
+deterministic per (address, protocol, day) so re-running a scan
+reproduces it while
 *different* scans lose different probes — exactly the noise the APD's
 merge-with-previous-scans logic exists to absorb.
 
@@ -21,9 +22,8 @@ from repro.obs.metrics import MetricsRegistry
 from repro.protocols import DnsResponse, Protocol
 from repro.runtime.faults import FaultPlan, RetryPolicy
 from repro.scan.blocklist import Blocklist
+from repro.scan.loss import LossModel
 from repro.simnet.internet import SimInternet
-
-_UINT64_SPAN = float(1 << 64)
 
 
 @dataclass(frozen=True)
@@ -67,8 +67,9 @@ class ZMapScanner:
 
     The probing itself is the fused kernel of :mod:`repro.scan.engine`
     (:func:`~repro.scan.engine.apd_probe_pass` for APD's ICMP + TCP/80
-    probes); the scanner carries what that kernel reads and the probe
-    total a checkpoint records.
+    probes); the scanner carries what that kernel reads — its
+    :class:`~repro.scan.loss.LossModel`, blocklist, fault plan and
+    metric families — and the probe total a checkpoint records.
     """
 
     def __init__(
@@ -81,15 +82,14 @@ class ZMapScanner:
         retry: Optional[RetryPolicy] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        if not 0.0 <= loss_rate < 1.0:
-            raise ValueError(f"loss rate out of range: {loss_rate}")
         self._internet = internet
         self._blocklist = blocklist or Blocklist()
-        self._loss_rate = loss_rate
-        self._loss_threshold = int(loss_rate * _UINT64_SPAN)
-        self._seed = seed
-        self._fault_plan = fault_plan
-        self._retry_attempts = 1 if retry is None else retry.attempts
+        #: the probe-loss draw every probe of this vantage takes
+        self.loss = LossModel(
+            seed=seed, loss_rate=loss_rate,
+            attempts=1 if retry is None else retry.attempts,
+            fault_plan=fault_plan,
+        )
         self.probes_sent = 0
         self._metrics = metrics
         #: lazily created serial engine backing :meth:`scan_all_protocols`

@@ -107,9 +107,6 @@ class GreatFirewall:
         self._pool = ipv4_pool
         self._seed = seed
         self._burst_probability = burst_probability
-        # memoized mix64(day ^ seed) for inject_prepared's per-day hash
-        self._inject_day: Optional[int] = None
-        self._inject_day_hash = 0
 
     def with_boundary(self, boundary: GfwBoundary) -> "GreatFirewall":
         """A copy of this firewall as seen from a different vantage.
@@ -166,26 +163,16 @@ class GreatFirewall:
     def inject(
         self, target: int, target_asn: Optional[int], qname: str, day: int
     ) -> List[DnsResponse]:
-        """Forged responses for one probe; empty when no injection occurs."""
+        """Forged responses for one probe; empty when no injection occurs.
+
+        The scan engine draws the same sequence for whole chunks at once
+        (see :mod:`repro.scan.engine`).
+        """
         era = self.active_era(day)
         if era is None or not self.is_blocked(qname) or not self._boundary.crosses(target_asn):
             return []
-        return self.inject_prepared(target, qname, day, era)
-
-    def inject_prepared(
-        self, target: int, qname: str, day: int, era: GfwEra
-    ) -> List[DnsResponse]:
-        """Forged responses once all gates are known to pass.
-
-        Hot-path variant of :meth:`inject` for callers (the scan engine)
-        that have already checked era/blocklist/border per scan instead
-        of per probe.  Draw sequence is identical to :meth:`inject`.
-        """
-        if day != self._inject_day:
-            self._inject_day = day
-            self._inject_day_hash = mix64(day ^ self._seed)
         base_draw = mix64(
-            (target & 0xFFFFFFFFFFFFFFFF) ^ (target >> 64) ^ self._inject_day_hash
+            (target & 0xFFFFFFFFFFFFFFFF) ^ (target >> 64) ^ mix64(day ^ self._seed)
         )
         count = 2 + base_draw % 2  # two or three injectors answer
         if (base_draw >> 32) % 1_000_000 < self._burst_probability * 1_000_000:

@@ -1,6 +1,6 @@
 """Pinned campaign outputs: SHA-256 digests of what short runs write.
 
-Four small-preset campaigns run through the CLI inside a temporary
+Five small-preset campaigns run through the CLI inside a temporary
 working directory (checkpoints embed their own and the store's paths,
 so both are passed relative).  Each run's ``summary.json``, every
 checkpoint file and the publication store (every object and manifest
@@ -20,9 +20,13 @@ The configurations:
   outage scoped to fleet member ``vp0`` (which a one-vantage campaign
   ignores: scoped outages take down fleet members, not the campaign);
 * ``fleet-incremental`` — three vantages, incremental, with ``vp1``
-  down mid-campaign.
+  down mid-campaign;
+* ``incremental-faulted`` — one vantage, incremental scheduling under
+  the ``single-faulted`` fault plan and two probe attempts, so the
+  scheduler's replay of carried prefixes runs through retries and a
+  loss burst.
 
-The two incremental configurations also run with two scan workers and
+The three incremental configurations also run with two scan workers and
 must produce the same bytes.
 """
 
@@ -71,6 +75,10 @@ CONFIGS: Dict[str, List[str]] = {
         "--vantages", "3", "--scan-mode", "incremental",
         "--vantage-faults", "vp1:98-112",
     ],
+    "incremental-faulted": [
+        "--vantages", "1", "--scan-mode", "incremental",
+        "--faults", "faults.json", "--retry-attempts", "2",
+    ],
 }
 
 
@@ -116,7 +124,8 @@ def pinned() -> Dict[str, Dict[str, str]]:
 @pytest.mark.parametrize(
     "name,workers",
     [(name, 1) for name in CONFIGS]
-    + [("single-incremental", 2), ("fleet-incremental", 2)],
+    + [("single-incremental", 2), ("fleet-incremental", 2),
+       ("incremental-faulted", 2)],
 )
 def test_outputs_match_pinned_digests(tmp_path, capsys, pinned, name, workers):
     digests = run_and_digest(tmp_path / name, name, workers)

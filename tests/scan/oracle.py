@@ -22,20 +22,26 @@ scan`; without loss the two agree exactly, and :meth:`OracleScanner.
 scan_suite` spells out the sliced model one target at a time.  ICMP and
 TCP/80 in APD's probe pass and UDP/53 in the fused kernel use the same
 formula as :meth:`OracleScanner._lost`, so those agree under any loss.
+:meth:`OracleScanner._lost` and :meth:`OracleScanner._fast_survived`
+are the scalar spelling of :class:`repro.scan.loss.LossModel`, written
+without it (``tests/scan/test_loss.py`` compares the two).
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro._util import mix64
 from repro.protocols import ALL_PROTOCOLS, Protocol
-from repro.runtime.faults import RETRY_SALT
+from repro.runtime.faults import FaultPlan, RetryPolicy
 from repro.scan.zmap import ScanResult, Udp53Result, ZMapScanner
 from repro.simnet.internet import SimInternet
 
 _M64 = 0xFFFFFFFFFFFFFFFF
-#: the fused kernel's fast-protocol loss salt and slice order
+#: the loss model's constants, spelled out independently of
+#: ``repro.scan.loss``: the per-attempt salt, and the fused kernel's
+#: fast-protocol stream salt and slice order
+_RETRY_SALT = 0x9E3779B97F4A7C15
 _FAST_SALT = 0x5CA11
 FAST_PROTOCOLS = (Protocol.ICMP, Protocol.TCP80, Protocol.TCP443, Protocol.UDP443)
 
@@ -60,10 +66,30 @@ def batch_responsive(
 
 
 class OracleScanner(ZMapScanner):
-    """A :class:`ZMapScanner` that can also probe one protocol at a time."""
+    """A :class:`ZMapScanner` that can also probe one protocol at a time.
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
+    It keeps its own copy of the loss parameters and never calls the
+    scanner's loss model, so the two stay independent spellings.
+    """
+
+    def __init__(
+        self,
+        internet: SimInternet,
+        loss_rate: float = 0.03,
+        seed: int = 0,
+        fault_plan: Optional[FaultPlan] = None,
+        retry: Optional[RetryPolicy] = None,
+        **kwargs,
+    ) -> None:
+        super().__init__(
+            internet, loss_rate=loss_rate, seed=seed, fault_plan=fault_plan,
+            retry=retry, **kwargs
+        )
+        self._fault_plan = fault_plan
+        self._seed = seed
+        self._loss_rate = loss_rate
+        self._loss_threshold = int(loss_rate * float(1 << 64))
+        self._retry_attempts = 1 if retry is None else retry.attempts
         self._retry_draws = 0
 
     def _lost(self, address: int, protocol: Protocol, day: int) -> bool:
@@ -80,7 +106,7 @@ class OracleScanner(ZMapScanner):
                     (day << 8)
                     ^ int(protocol)
                     ^ self._seed
-                    ^ ((attempt * RETRY_SALT) & _M64)
+                    ^ ((attempt * _RETRY_SALT) & _M64)
                 )
             )
             if draw >= self._loss_threshold:
@@ -88,6 +114,35 @@ class OracleScanner(ZMapScanner):
                 return False
         self._retry_draws += self._retry_attempts - 1
         return True
+
+    def _fast_survived(self, address: int, day: int) -> int:
+        """Which fast probes survive loss, one bit per :data:`FAST_PROTOCOLS`.
+
+        The four fast protocols share one 64-bit loss hash per attempt,
+        one 16-bit slice per protocol (``>= loss_rate * 65536``
+        survives).  The target is re-drawn until every slice has
+        survived once, and its retry count is the attempt that completed
+        the set (``attempts - 1`` if none did).
+        """
+        threshold16 = int(self._loss_rate * 65536.0)
+        base = (address & _M64) ^ (address >> 64)
+        survived = 0
+        for attempt in range(self._retry_attempts):
+            draw = mix64(
+                base
+                ^ mix64(
+                    (day << 8) ^ self._seed ^ _FAST_SALT
+                    ^ ((attempt * _RETRY_SALT) & _M64)
+                )
+            )
+            for index in range(4):
+                if (draw >> (16 * index)) & 0xFFFF >= threshold16:
+                    survived |= 1 << index
+            if survived == 0b1111:
+                self._retry_draws += attempt
+                return survived
+        self._retry_draws += self._retry_attempts - 1
+        return survived
 
     def _suppressed(
         self, probed: List[int], protocol: Protocol, day: int
@@ -205,25 +260,12 @@ class OracleScanner(ZMapScanner):
     ) -> Tuple[Dict[Protocol, ScanResult], Udp53Result]:
         """What ``scan_all_protocols`` returns, computed target by target.
 
-        The four fast protocols share one 64-bit loss hash per attempt,
-        one 16-bit slice per protocol (``>= loss_rate * 65536``
-        survives).  A responsive target is re-drawn until every slice
-        has survived once, and its retry count is the attempt that
-        completed the set (``attempts - 1`` if none did).  UDP/53 is
-        :meth:`scan_udp53`.
+        Fast-protocol loss of a responsive target is
+        :meth:`_fast_survived`; UDP/53 is :meth:`scan_udp53`.
         """
         targets = list(targets)
         plan = self._fault_plan
         internet = self._internet
-        attempts = self._retry_attempts
-        threshold16 = int(self._loss_rate * 65536.0)
-        inner = [
-            mix64(
-                (day << 8) ^ self._seed ^ _FAST_SALT
-                ^ ((attempt * RETRY_SALT) & _M64)
-            )
-            for attempt in range(attempts)
-        ]
         hits: Dict[Protocol, Set[int]] = {p: set() for p in FAST_PROTOCOLS}
         probed: List[int] = []
         burst_suppressed = 0
@@ -236,18 +278,7 @@ class OracleScanner(ZMapScanner):
                 continue
             if not response_mask(internet, target, day):
                 continue
-            base = (target & _M64) ^ (target >> 64)
-            survived = 0
-            for attempt in range(attempts):
-                draw = mix64(base ^ inner[attempt])
-                for index in range(4):
-                    if (draw >> (16 * index)) & 0xFFFF >= threshold16:
-                        survived |= 1 << index
-                if survived == 0b1111:
-                    self._retry_draws += attempt
-                    break
-            else:
-                self._retry_draws += attempts - 1
+            survived = self._fast_survived(target, day)
             for index, protocol in enumerate(FAST_PROTOCOLS):
                 if survived >> index & 1 and internet.responds(target, protocol, day):
                     hits[protocol].add(target)

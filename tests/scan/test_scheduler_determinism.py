@@ -14,6 +14,7 @@ from repro.hitlist import HitlistService
 from repro.hitlist.history_io import history_summary
 from repro.hitlist.service import ServiceSettings
 from repro.obs import deterministic_metrics, registry_to_dict
+from repro.scan.loss import LossModel
 from repro.scan.scheduler import IncrementalScheduler
 from repro.simnet import build_internet, small_config
 
@@ -120,7 +121,7 @@ def test_state_dict_round_trip(config):
         seed=scheduler._seed,
         refresh_interval=scheduler.refresh_interval,
         sample_rate=scheduler.sample_rate,
-        fault_plan=scheduler._fault_plan,
+        loss=scheduler.loss,
     )
     clone.restore_state(payload)
     assert clone.state_dict() == payload
@@ -169,7 +170,7 @@ def test_synthetic_pool_tiling_under_churn():
     """The tiling property holds for adversarial pool churn, without a
     simulated internet: members appear, disappear, and whole prefixes
     rotate between plans."""
-    scheduler = IncrementalScheduler(seed=7, loss_rate=0.0)
+    scheduler = IncrementalScheduler(seed=7, loss=LossModel(seed=7, loss_rate=0.0))
     base = [
         ((0x2001 << 112) | ((i % 97) << 64) | (i * 0x9E37) & 0xFFFF)
         for i in range(400)

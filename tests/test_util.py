@@ -1,6 +1,9 @@
-"""Tests for shared helpers (dates, stable hashing, RNG derivation)."""
+"""Tests for shared helpers (dates, stable hashing, RNG derivation,
+durable writes)."""
 
 import datetime
+import os
+import stat
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 from repro._util import (
     EPOCH,
     FINAL_DAY,
+    atomic_write,
     date_to_day,
     day_to_date,
     derive_rng,
@@ -68,3 +72,25 @@ class TestMix64:
     def test_avalanche(self):
         a, b = mix64(0), mix64(1)
         assert bin(a ^ b).count("1") > 16
+
+
+class TestAtomicWrite:
+    def test_replaces_contents_and_leaves_no_temp_file(self, tmp_path):
+        path = tmp_path / "state.bin"
+        path.write_bytes(b"old")
+        atomic_write(str(path), b"new bytes")
+        assert path.read_bytes() == b"new bytes"
+        assert sorted(os.listdir(tmp_path)) == ["state.bin"]
+
+    def test_fsyncs_the_file_then_its_directory(self, tmp_path, monkeypatch):
+        synced = []
+        real_fsync = os.fsync
+
+        def recording_fsync(fd):
+            synced.append(stat.S_ISDIR(os.fstat(fd).st_mode))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        atomic_write(str(tmp_path / "state.bin"), b"x")
+        # the rename is durable only once the directory entry is synced
+        assert synced == [False, True]

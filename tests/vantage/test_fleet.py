@@ -131,7 +131,7 @@ class TestSingleVantageEquivalence:
             seed=config.seed, fault_plan=plan, metrics=registry,
         )
         assert fleet.plans == [plan]  # the campaign plan, unsalted
-        assert fleet.scanners[0]._seed == config.seed
+        assert fleet.scanners[0].loss.seed == config.seed
         down = fleet.roster(3)
         assert down.all_down and fleet.member_faults(down) == []
         assert fleet.snapshot_block(down) is None
