@@ -6,9 +6,12 @@ single-vantage :class:`VantageFleet` and through a three-member one
 code path, so the ratio isolates exactly what multi-vantage adds:
 witness-panel re-probing, quorum reconciliation and the merged-verdict
 bookkeeping.  A warm-up scan day runs outside the timed window on both
-sides (campaigns pay the rank/assignment memo fill once, not per day),
-the three-member output is asserted deterministic across two passes,
-and both timings are recorded (merged into
+sides (campaigns pay the rank/assignment memo fill once, not per day).
+Each side is timed three times, interleaved in alternating order
+(single/fleet, fleet/single, single/fleet) so host drift hits both
+sides alike, and the gate reads the ratio of the two medians.  The
+three-member output is asserted identical across its repeats, and both
+median timings are recorded (merged into
 ``results/BENCH_vantage_fleet.json`` with ``vantages`` /
 ``overhead_vs_single`` fields, scenario ``default-predeploy``).
 
@@ -32,6 +35,7 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
+import statistics
 import sys
 import time
 
@@ -49,6 +53,8 @@ QNAME = "www.google.com"
 WARMUP_DAY = 0
 SCAN_DAYS = (8, 16, 24)
 CHUNK_SIZE = 4096
+#: timed repeats per side; the gate compares medians
+REPEATS = 3
 
 
 def _targets():
@@ -89,18 +95,31 @@ def _measure(config, targets, vantages: int) -> tuple[float, dict]:
 
 
 def run_sweep(vantages: int) -> tuple[float, float]:
+    """Median single-vantage and fleet wall times over interleaved repeats."""
     config, targets = _targets()
-    wall_single, _ = _measure(config, targets, 1)
-    wall_fleet, snapshots = _measure(config, targets, vantages)
-    _wall_again, rerun = _measure(config, targets, vantages)
-    if rerun != snapshots:
+    walls: dict[int, list[float]] = {1: [], vantages: []}
+    fleet_snapshots = []
+    for repeat in range(REPEATS):
+        order = (1, vantages) if repeat % 2 == 0 else (vantages, 1)
+        for count in order:
+            wall, snapshots = _measure(config, targets, count)
+            walls[count].append(wall)
+            if count == vantages:
+                fleet_snapshots.append(snapshots)
+    snapshots = fleet_snapshots[0]
+    if any(rerun != snapshots for rerun in fleet_snapshots[1:]):
         raise AssertionError("fleet reconciliation is not deterministic")
     if not any(block[2]["witness_targets"] for block in snapshots.values()):
         raise AssertionError("fleet probed no witness targets")
+    wall_single = statistics.median(walls[1])
+    wall_fleet = statistics.median(walls[vantages])
     print(
         f"vantage_fleet[default]: {len(targets)} targets x {len(SCAN_DAYS)} "
-        f"days; single={wall_single:.2f}s fleet{vantages}={wall_fleet:.2f}s "
-        f"overhead={wall_fleet / wall_single:.3f}x"
+        f"days x {REPEATS} repeats; median single={wall_single:.2f}s "
+        f"fleet{vantages}={wall_fleet:.2f}s "
+        f"overhead={wall_fleet / wall_single:.3f}x "
+        f"(single {', '.join(f'{w:.2f}' for w in walls[1])}; "
+        f"fleet {', '.join(f'{w:.2f}' for w in walls[vantages])})"
     )
     return wall_single, wall_fleet
 
@@ -126,7 +145,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--check-baseline", type=pathlib.Path, default=None,
         help="baseline JSON with a max_overhead ceiling; exit 1 when "
-             "the fleet/single-vantage wall-time ratio exceeds it",
+             "the ratio of the fleet and single-vantage median wall "
+             "times exceeds it",
     )
     args = parser.parse_args(argv)
     wall_single, wall_fleet = run_sweep(args.vantages)

@@ -16,7 +16,7 @@ Run:  python examples/gfw_cleaning.py
 from repro._util import day_to_date
 from repro.analysis import ascii_table, si_format
 from repro.analysis.formatting import percent
-from repro.gfw.detector import classify_target
+from repro.gfw import GfwFilter
 from repro.gfw.impact import impact_report
 from repro.hitlist import HitlistService
 from repro.hitlist.service import ServiceSettings
@@ -27,6 +27,12 @@ from repro.scan.zmap import ZMapScanner
 from repro.simnet import build_internet, small_config
 
 
+def response_count(result, target: int) -> int:
+    """Responses one probe provoked: its extra answers plus the genuine one."""
+    variant, extras = result.records.get(target, (0, ()))
+    return len(extras) + (1 if variant else 0)
+
+
 def inspect_single_injection(internet, day: int) -> None:
     """Step 1: what a forged response actually looks like."""
     cn_asn = 4134  # China Telecom Backbone
@@ -35,20 +41,19 @@ def inspect_single_injection(internet, day: int) -> None:
 
     scanner = ZMapScanner(internet, loss_rate=0.0)
     _fast, result = scanner.scan_all_protocols([dead_target], day, "www.google.com")
-    responses = result.responses[dead_target]
+    _variant, extras = result.records[dead_target]
     print(f"probe to dead address {format_ipv6(dead_target)} "
-          f"-> {len(responses)} responses:")
-    for response in responses:
-        for answer in response.answers:
-            if answer.rtype is RecordType.AAAA and is_teredo(answer.address):
-                embedded = decode_teredo(answer.address).client_ipv4
-                print(f"  AAAA {format_ipv6(answer.address)} "
-                      f"(Teredo, embeds IPv4 {embedded >> 24 & 255}."
-                      f"{embedded >> 16 & 255}.{embedded >> 8 & 255}."
-                      f"{embedded & 255})")
-            else:
-                print(f"  {answer.rtype.value} answer")
-    evidence = classify_target(responses)
+          f"-> {response_count(result, dead_target)} responses:")
+    for address in extras:
+        if result.extra_rtype is RecordType.AAAA and is_teredo(address):
+            embedded = decode_teredo(address).client_ipv4
+            print(f"  AAAA {format_ipv6(address)} "
+                  f"(Teredo, embeds IPv4 {embedded >> 24 & 255}."
+                  f"{embedded >> 16 & 255}.{embedded >> 8 & 255}."
+                  f"{embedded & 255})")
+        else:
+            print(f"  {result.extra_rtype.value} answer")
+    evidence = GfwFilter().clean_scan(result).evidence_counts
     print("detector evidence:", {kind.value: n for kind, n in evidence.items()})
 
     # An unblocked domain gets silence — not even a DNS error.
@@ -56,7 +61,7 @@ def inspect_single_injection(internet, day: int) -> None:
         [dead_target], day, "definitely-not-blocked.example"
     )
     print(f"same address, unblocked domain -> "
-          f"{len(silent.responses.get(dead_target, ()))} responses\n")
+          f"{response_count(silent, dead_target)} responses\n")
 
 
 def run_pipeline_with_and_without_filter(internet, config) -> None:

@@ -7,12 +7,7 @@ queried domain), filter 134 M historically poisoned addresses, and keep
 filtering scan results going forward.
 """
 
-from repro.gfw.detector import (
-    InjectionEvidence,
-    Ipv4Whois,
-    classify_response,
-    classify_target,
-)
+from repro.gfw.detector import InjectionEvidence, Ipv4Whois
 from repro.gfw.filter import GfwFilter, ScanCleaningResult
 from repro.gfw.impact import GfwImpactReport, impact_report
 
@@ -22,7 +17,5 @@ __all__ = [
     "InjectionEvidence",
     "Ipv4Whois",
     "ScanCleaningResult",
-    "classify_response",
-    "classify_target",
     "impact_report",
 ]

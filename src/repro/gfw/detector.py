@@ -1,4 +1,4 @@
-"""Classify DNS responses as GFW-injected.
+"""Classify DNS answers as GFW-injected.
 
 The detector only uses observable evidence (the paper's Sec. 4.2):
 
@@ -10,17 +10,19 @@ The detector only uses observable evidence (the paper's Sec. 4.2):
 * **multiple responses** arrive for a single query (several injectors on
   the path answer independently).
 
-Ground-truth flags (``DnsResponse.injected``) are never consulted.
+:func:`answer_evidence` reads one answer at a time, as integers;
+:class:`repro.gfw.filter.GfwFilter` applies it to a scan's answer
+records and never learns which answers are forged.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
-from repro.net.teredo import decode_teredo, is_teredo
-from repro.protocols import DnsResponse, DnsStatus, RecordType
+from repro.net.teredo import is_teredo
+from repro.protocols import RecordType
 
 
 class InjectionEvidence(enum.Enum):
@@ -62,66 +64,15 @@ DEFAULT_WHOIS = Ipv4Whois(
 )
 
 
-_DEFAULT_OWNERS = frozenset((15169,))  # www.google.com -> Google
-
-
-def classify_response(
-    response: DnsResponse,
-    expected_rtype: RecordType = RecordType.AAAA,
-    whois: Ipv4Whois = DEFAULT_WHOIS,
-    domain_owner_asns: Iterable[int] = _DEFAULT_OWNERS,
-) -> Optional[InjectionEvidence]:
-    """Evidence of forgery carried by a single response, if any."""
-    if response.status is not DnsStatus.NOERROR:
-        return None
-    owners = (
-        domain_owner_asns
-        if domain_owner_asns is _DEFAULT_OWNERS
-        else set(domain_owner_asns)
-    )
-    for answer in response.answers:
-        if answer.rtype is RecordType.A and expected_rtype is RecordType.AAAA:
-            return InjectionEvidence.A_FOR_AAAA
-        if answer.rtype is RecordType.AAAA and is_teredo(answer.address):
-            return InjectionEvidence.TEREDO_ANSWER
-        if answer.rtype is RecordType.A:
-            owner = whois.owner_of(answer.address)
-            if owner is not None and owner not in owners:
-                return InjectionEvidence.UNRELATED_OWNER
+def answer_evidence(
+    rtype: RecordType, address: int
+) -> Optional[Tuple[InjectionEvidence, int]]:
+    """Forgery evidence one answer to a AAAA query carries, and the IPv4
+    it names (an A record's own, or a Teredo address's client)."""
+    if rtype is RecordType.A:
+        return InjectionEvidence.A_FOR_AAAA, address
+    if rtype is RecordType.AAAA and is_teredo(address):
+        # decode_teredo(...).client_ipv4 without building the
+        # TeredoAddress (RFC 4380 ones-complement client bits)
+        return InjectionEvidence.TEREDO_ANSWER, (address & 0xFFFFFFFF) ^ 0xFFFFFFFF
     return None
-
-
-def classify_target(
-    responses: Sequence[DnsResponse],
-    expected_rtype: RecordType = RecordType.AAAA,
-    whois: Ipv4Whois = DEFAULT_WHOIS,
-) -> Dict[InjectionEvidence, int]:
-    """Aggregate forgery evidence across all responses to one probe.
-
-    Returns a (possibly empty) evidence histogram.  A target with any
-    evidence is treated as injection-affected for this scan.
-    """
-    evidence: Dict[InjectionEvidence, int] = {}
-    if len(responses) > 1:
-        evidence[InjectionEvidence.MULTIPLE_RESPONSES] = len(responses)
-    for response in responses:
-        kind = classify_response(response, expected_rtype, whois)
-        if kind is not None:
-            evidence[kind] = evidence.get(kind, 0) + 1
-    return evidence
-
-
-def is_injected_target(
-    responses: Sequence[DnsResponse],
-    expected_rtype: RecordType = RecordType.AAAA,
-    whois: Ipv4Whois = DEFAULT_WHOIS,
-) -> bool:
-    """True when a probe's responses carry *record-level* forgery evidence.
-
-    Multiple responses alone are treated as corroborating, not
-    sufficient: retransmissions can legitimately duplicate answers.
-    """
-    return any(
-        classify_response(response, expected_rtype, whois) is not None
-        for response in responses
-    )

@@ -16,18 +16,16 @@ Two roles, matching the paper's deployment in February 2022:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set
+from typing import Dict, Iterable, Optional, Set, Tuple
 
 from repro.gfw.detector import (
     DEFAULT_WHOIS,
     InjectionEvidence,
     Ipv4Whois,
-    classify_target,
+    answer_evidence,
 )
-
-from repro.net.teredo import is_teredo
 from repro.obs.metrics import MetricsRegistry
-from repro.protocols import RecordType
+from repro.protocols import DnsStatus, RecordType
 from repro.scan.zmap import Udp53Result
 
 _MISSING = object()
@@ -65,51 +63,78 @@ class GfwFilter:
                 "Forgery evidence observed in UDP/53 responses, by kind.",
                 ("kind",))
 
-    def _attribute_answers(self, responses) -> None:
-        # forged answers recycle a small IPv4 pool, so owner lookups are
-        # memoized (the whois scan dominated the per-scan cleaning cost)
-        owner_cache = self._owner_cache
-        owners = self.forged_answer_owners
-        for response in responses:
-            for answer in response.answers:
-                if answer.rtype is RecordType.A:
-                    ipv4 = answer.address
-                elif answer.rtype is RecordType.AAAA and is_teredo(answer.address):
-                    # decode_teredo(...).client_ipv4 without building the
-                    # TeredoAddress (RFC 4380 ones-complement client bits)
-                    ipv4 = (answer.address & 0xFFFFFFFF) ^ 0xFFFFFFFF
-                else:
-                    continue
-                owner = owner_cache.get(ipv4, _MISSING)
-                if owner is _MISSING:
-                    owner = owner_cache[ipv4] = self._whois.owner_of(ipv4)
-                if owner is not None:
-                    owners[owner] = owners.get(owner, 0) + 1
+    def _verdict(
+        self, status: DnsStatus, answers: Iterable[Tuple[RecordType, int]]
+    ) -> Tuple[Optional[InjectionEvidence], Tuple[int, ...]]:
+        """One response's first evidence, and the owners of the IPv4s its
+        answers name.
+
+        Genuine-variant answers and extra answers both come through
+        here, so the rule cannot tell them apart.  Owner lookups are
+        memoized across scans: forged answers recycle a small IPv4 pool.
+        """
+        kind = None
+        owners = []
+        for rtype, address in answers:
+            found = answer_evidence(rtype, address)
+            if found is None:
+                continue
+            evidence, ipv4 = found
+            if kind is None and status is DnsStatus.NOERROR:
+                kind = evidence
+            owner = self._owner_cache.get(ipv4, _MISSING)
+            if owner is _MISSING:
+                owner = self._owner_cache[ipv4] = self._whois.owner_of(ipv4)
+            if owner is not None:
+                owners.append(owner)
+        return kind, tuple(owners)
 
     def clean_scan(self, result: Udp53Result) -> ScanCleaningResult:
         """Split one scan's responders into clean and injected.
 
-        Equivalent to ``is_injected_target`` + ``classify_target`` per
-        responder, but classifies each response once: a target is
-        injected exactly when it carries record-level evidence
-        (``MULTIPLE_RESPONSES`` alone is corroborating, not sufficient).
+        Each genuine variant's answers and each distinct extra payload
+        is classified once per scan.  A target is injected exactly when
+        one of its responses carries record-level evidence
+        (``MULTIPLE_RESPONSES`` alone is corroborating, not sufficient);
+        evidence and answer owners of injected targets are totalled per
+        scan.
         """
         cleaning = ScanCleaningResult(day=result.day)
+        variants = {
+            code: self._verdict(
+                status, [(answer.rtype, answer.address) for answer in answers]
+            )
+            for code, (status, answers) in result.variants.items()
+        }
+        extras_seen: Dict[int, tuple] = {}
+        totals = cleaning.evidence_counts
+        owner_totals = self.forged_answer_owners
         multiple = InjectionEvidence.MULTIPLE_RESPONSES
         for responder in result.responders:
-            responses = result.responses.get(responder, ())
-            counts = classify_target(responses)
-            if any(kind is not multiple for kind in counts):
-                cleaning.injected_responders.add(responder)
-                for kind, count in counts.items():
-                    cleaning.evidence_counts[kind] = (
-                        cleaning.evidence_counts.get(kind, 0) + count
+            # carried-forward responders have no answers this scan
+            variant, extras = result.records.get(responder, (0, ()))
+            verdicts = [variants.get(variant, (None, ()))]
+            for payload in extras:
+                if payload not in extras_seen:
+                    extras_seen[payload] = self._verdict(
+                        DnsStatus.NOERROR, ((result.extra_rtype, payload),)
                     )
-                    if self._metrics is not None:
-                        self._m_evidence.labels(kind=kind.value).inc(count)
-                self._attribute_answers(responses)
-            else:
+                verdicts.append(extras_seen[payload])
+            if all(kind is None for kind, _owners in verdicts):
                 cleaning.clean_responders.add(responder)
+                continue
+            cleaning.injected_responders.add(responder)
+            responses = len(extras) + (1 if variant else 0)
+            if responses > 1:
+                totals[multiple] = totals.get(multiple, 0) + responses
+            for kind, owners in verdicts:
+                if kind is not None:
+                    totals[kind] = totals.get(kind, 0) + 1
+                for owner in owners:
+                    owner_totals[owner] = owner_totals.get(owner, 0) + 1
+        if self._metrics is not None:
+            for kind, count in totals.items():
+                self._m_evidence.labels(kind=kind.value).inc(count)
         self.ever_injected.update(cleaning.injected_responders)
         return cleaning
 

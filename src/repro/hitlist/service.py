@@ -316,6 +316,16 @@ class HitlistService:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.spans = Tracer(self.clock, registry=self.metrics)
         self._init_service_metrics()
+        if self.settings.scan_mode not in ("full", "incremental"):
+            raise ValueError(
+                f"settings.scan_mode must be 'full' or 'incremental', "
+                f"got {self.settings.scan_mode!r}"
+            )
+        if self.settings.retry_attempts < 1:
+            raise ValueError(
+                f"settings.retry_attempts must be >= 1, "
+                f"got {self.settings.retry_attempts}"
+            )
         retry = (
             RetryPolicy(attempts=self.settings.retry_attempts)
             if self.settings.retry_attempts > 1
@@ -338,11 +348,6 @@ class HitlistService:
             metrics=self.metrics,
             tracer=self.spans,
         )
-        if self.settings.scan_mode not in ("full", "incremental"):
-            raise ValueError(
-                f"settings.scan_mode must be 'full' or 'incremental', "
-                f"got {self.settings.scan_mode!r}"
-            )
         #: the incremental churn-aware scheduler; None keeps the
         #: probe-everything path bit-identical to earlier releases
         self.scheduler: Optional[IncrementalScheduler] = None

@@ -99,7 +99,8 @@ class DnsScanner:
         """Query each target for its unique control subdomain.
 
         Classification matches the paper: the name server log is joined
-        against outgoing probes via the unique subdomain.
+        against outgoing probes via the unique subdomain (never on the
+        GFW's exact-name block list, so every response is the target's).
         """
         internet = self._internet
         result = ControlExperimentResult()
@@ -110,9 +111,8 @@ class DnsScanner:
             qname = self._hash_name(target)
             queried.append((target, qname))
             responses = internet.dns_probe(target, qname, day)
-            genuine = [response for response in responses if not response.injected]
-            if genuine:
-                answers[target] = tuple(genuine)
+            if responses:
+                answers[target] = tuple(responses)
 
         seen_at_ns: Dict[str, Set[int]] = {}
         for entry in internet.control_ns_log[log_start:]:

@@ -41,7 +41,7 @@ from repro._util import mix64
 from repro.net.teredo import TEREDO_PREFIX
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Tracer
-from repro.protocols import DnsAnswer, DnsResponse, DnsStatus, Protocol, RecordType
+from repro.protocols import Protocol, RecordType
 from repro.scan import wire
 from repro.scan.vecmix import bulk_mix64_xor, pack_bases, pack_padded, unpack_lanes
 from repro.scan.wire import PackedChunkResult
@@ -67,8 +67,6 @@ DEFAULT_CHUNK_SIZE = 4096
 #: default scenario never re-forks after the first sizing
 _MIN_POOL_BYTES = 1 << 22
 
-_REFUSED_BEHAVIORS = (DnsBehavior.NOT_DNS, DnsBehavior.AUTH_OR_CLOSED)
-
 #: DnsBehavior -> wire.GENUINE_* code for the behaviors whose response
 #: variant does not depend on per-target draws or qname resolution
 _BEHAVIOR_CODE = {
@@ -82,42 +80,28 @@ class _ScanContext:
     """Per-(scanner, day, qname) constants hoisted out of the hot loop."""
 
     __slots__ = (
-        "inject_possible", "gfw_era", "resolved", "answers",
-        "is_control", "mday", "referral_answers", "broken_answers",
+        "inject_possible", "resolved", "is_control", "mday",
         "inject_day_hash", "burst_cut", "inj_wide", "inj_ranges",
     )
 
     def __init__(self, scanner: "ZMapScanner", day: int, qname: str) -> None:
         internet = scanner._internet
         gfw = internet.gfw
-        self.gfw_era = gfw.active_era(day)
-        self.inject_possible = (
-            self.gfw_era is not None and gfw.is_blocked(qname)
-        )
+        era = gfw.active_era(day)
+        self.inject_possible = era is not None and gfw.is_blocked(qname)
         # injection-draw constants (GreatFirewall.inject, hoisted)
         self.inject_day_hash = mix64(day ^ gfw._seed)
         # kept as float: inject compares the modulus against
         # probability*1e6 unrounded, and the boundary draw must agree
         self.burst_cut = gfw._burst_probability * 1_000_000
-        self.inj_wide = (
-            self.gfw_era is not None
-            and self.gfw_era.mode is not InjectionMode.A_RECORD
-        )
+        self.inj_wide = era is not None and era.mode is not InjectionMode.A_RECORD
         self.inj_ranges = tuple(
             (base, (1 << (32 - length)) - 1)
             for base, length, _owner in gfw._pool.ranges
         )
         self.resolved = internet.resolve_name(qname)
-        self.answers = tuple(
-            DnsAnswer(rtype=RecordType.AAAA, address=address)
-            for address in self.resolved
-        )
         self.is_control = internet._is_control_name(qname)
         self.mday = mix64(day)
-        self.referral_answers = (
-            DnsAnswer(rtype=RecordType.NS, target="a.root-servers.net"),
-        )
-        self.broken_answers = (DnsAnswer(rtype=RecordType.AAAA, address=1),)
 
 
 def _retry(attempts: List[bytes], index: int) -> Tuple[bool, int]:
@@ -255,6 +239,7 @@ def _scan_chunk_packed(
                 continue
 
         meta = 0
+        count = 0  # extra answers that arrive before the genuine one
         if inject_possible:
             asn = asns[i]
             crossing = crosses_cache.get(asn)
@@ -262,12 +247,10 @@ def _scan_chunk_packed(
                 crossing = crosses(asn)
                 crosses_cache[asn] = crossing
             if crossing:
-                meta = wire.FLAG_INJECTED
                 base_draw = inj_draws[i]
                 count = 2 + base_draw % 2  # two or three injectors answer
                 if (base_draw >> 32) % 1_000_000 < burst_cut:
                     count = 64 + base_draw % 400  # rare pathological bursts
-                inj_counts_append(count)
                 inj_xor.append((base_draw, count))
 
         if behavior is not None:
@@ -287,9 +270,10 @@ def _scan_chunk_packed(
                     if behavior is DnsBehavior.PROXY_RESOLVER:
                         meta |= wire.FLAG_PROXY
 
-        if meta:
+        if meta or count:
             udp_idx_append(gidx)
             udp_meta_append(meta)
+            inj_counts_append(count)
 
     result.fast_retry_draws = fast_draws
     result.udp_retry_draws = udp_draws
@@ -429,9 +413,6 @@ class ScanEngine:
         self._thread_state: Optional[_WorkerState] = None
         #: inline-path scan-state memo (mirrors _WorkerState's)
         self._crosses_cache: Dict[Optional[int], bool] = {}
-        #: decode-side memo of injected-answer objects, keyed by
-        #: (wide, payload); forged answers repeat heavily across scans
-        self._answer_cache: Dict[Tuple[bool, int], DnsAnswer] = {}
         self._m_chunks = None
         if metrics is not None:
             # volatile: the chunk count tracks scan_chunk_size, a host
@@ -550,11 +531,10 @@ class ScanEngine:
         The engine probes whatever it is handed: whether the vantage is
         up at all is the fleet roster's decision, made before any scan.
         """
-        from repro.scan.zmap import ScanResult, Udp53Result
+        from repro.scan.zmap import ScanResult, Udp53Result, variant_answers
 
         scanner = self._scanner
         plan = scanner.loss.fault_plan
-        udp53 = Udp53Result(day=day, qname=qname)
         if not isinstance(targets, list):
             targets = list(targets)
         limited = plan is not None and any(
@@ -566,7 +546,11 @@ class ScanEngine:
             (start, min(start + chunk_size, len(targets)))
             for start in range(0, len(targets), chunk_size)
         ]
-        ctx = _ScanContext(scanner, day, qname) if ranges else None
+        ctx = _ScanContext(scanner, day, qname)
+        udp53 = Udp53Result(
+            day=day, qname=qname, variants=variant_answers(ctx.resolved),
+            extra_rtype=RecordType.AAAA if ctx.inj_wide else RecordType.A,
+        )
         chunk_results = self._run_chunks(targets, ranges, day, qname, limited, ctx)
 
         # deterministic merge, in chunk order
@@ -585,7 +569,7 @@ class ScanEngine:
             udp_draws += chunk_result.udp_retry_draws
             for found, idx in zip(fast_sets, chunk_result.fast_idx):
                 found.update(map(getitem, idx))
-            self._decode_udp(chunk_result, targets, ctx, udp53, control_entries)
+            self._decode_udp(chunk_result, targets, udp53, control_entries)
             if scannable is not None:
                 bits = chunk_result.scannable_bits
                 for offset in wire.iter_bitmask(bits, stop - start):
@@ -619,7 +603,7 @@ class ScanEngine:
                     if address in udp53.responders:
                         udp_rate_limited += 1
                     udp53.responders.discard(address)
-                    udp53.responses.pop(address, None)
+                    udp53.records.pop(address, None)
 
         self._flush_metrics(
             count, burst_targets, fast_draws + udp_draws, fast_sets,
@@ -638,93 +622,37 @@ class ScanEngine:
         self,
         chunk: PackedChunkResult,
         targets: List[int],
-        ctx: _ScanContext,
         udp53: "Udp53Result",
         control_entries: List[Tuple[str, int]],
     ) -> None:
-        """Synthesize the chunk's UDP/53 hits from the packed wire format.
+        """Record the chunk's UDP/53 hits from the packed wire format.
 
-        Response objects (including injected forgeries) are built here
-        in the parent, in target order, exactly as the scalar pass built
-        them in place — responder sets, response tuples and control-log
-        order are byte-compatible with any worker count.
+        Each hit becomes one answer record — its variant code and the
+        payload ints of its extra answers — in target order, so
+        responder sets, records and control-log order are identical for
+        any worker count.
         """
-        udp_idx = chunk.udp_idx
-        if not udp_idx:
-            return
-        qname = udp53.qname
-        wide = chunk.inj_wide
-        rtype = RecordType.AAAA if wide else RecordType.A
-        counts = chunk.inj_counts
         payloads = chunk.inj_answers
-        cache = self._answer_cache
-        responders_add = udp53.responders.add
-        responses_map = udp53.responses
-        answers = ctx.answers
-        referral_answers = ctx.referral_answers
-        broken_answers = ctx.broken_answers
-        ci = 0  # cursor into inj_counts
-        ai = 0  # cursor into inj_answers slots
-        for target_index, meta in zip(udp_idx, chunk.udp_meta):
+        if chunk.inj_wide:  # 128-bit Teredo answers ship as lo, hi slots
+            payloads = [
+                lo | hi << 64 for lo, hi in zip(payloads[0::2], payloads[1::2])
+            ]
+        records = udp53.records
+        ai = 0  # cursor into the extra-answer payloads
+        for target_index, meta, count in zip(
+            chunk.udp_idx, chunk.udp_meta, chunk.inj_counts
+        ):
             target = targets[target_index]
-            responses: List[DnsResponse] = []
-            if meta & wire.FLAG_INJECTED:
-                count = counts[ci]
-                ci += 1
-                for _ in range(count):
-                    if wide:
-                        payload = payloads[ai] | (payloads[ai + 1] << 64)
-                        ai += 2
-                    else:
-                        payload = payloads[ai]
-                        ai += 1
-                    key = (wide, payload)
-                    answer = cache.get(key)
-                    if answer is None:
-                        answer = DnsAnswer(rtype=rtype, address=payload)
-                        cache[key] = answer
-                    responses.append(DnsResponse(
-                        responder=target, qname=qname,
-                        status=DnsStatus.NOERROR, answers=(answer,),
-                        injected=True,
-                    ))
-            variant = meta & wire.GENUINE_MASK
-            if variant:
-                if variant == wire.GENUINE_NOERROR:
-                    if meta & wire.FLAG_CONTROL:
-                        egress = target
-                        if meta & wire.FLAG_PROXY:
-                            egress = target ^ mix64(target) & 0xFFFF
-                        control_entries.append((qname, egress))
-                    genuine = DnsResponse(
-                        responder=target, qname=qname,
-                        status=DnsStatus.NOERROR, answers=answers,
-                    )
-                elif variant == wire.GENUINE_REFUSED:
-                    genuine = DnsResponse(
-                        responder=target, qname=qname, status=DnsStatus.REFUSED
-                    )
-                elif variant == wire.GENUINE_REFERRAL:
-                    genuine = DnsResponse(
-                        responder=target, qname=qname,
-                        status=DnsStatus.NOERROR, answers=referral_answers,
-                    )
-                elif variant == wire.GENUINE_SERVFAIL:
-                    genuine = DnsResponse(
-                        responder=target, qname=qname, status=DnsStatus.SERVFAIL
-                    )
-                elif variant == wire.GENUINE_BROKEN_ANSWER:
-                    genuine = DnsResponse(
-                        responder=target, qname=qname,
-                        status=DnsStatus.NOERROR, answers=broken_answers,
-                    )
-                else:  # GENUINE_NXDOMAIN
-                    genuine = DnsResponse(
-                        responder=target, qname=qname, status=DnsStatus.NXDOMAIN
-                    )
-                responses.append(genuine)
-            responders_add(target)
-            responses_map[target] = tuple(responses)
+            if meta & wire.FLAG_CONTROL:
+                egress = target
+                if meta & wire.FLAG_PROXY:
+                    egress = target ^ mix64(target) & 0xFFFF
+                control_entries.append((udp53.qname, egress))
+            records[target] = (
+                meta & wire.GENUINE_MASK, tuple(payloads[ai:ai + count])
+            )
+            ai += count
+        udp53.responders.update(map(targets.__getitem__, chunk.udp_idx))
 
     def _run_chunks(
         self,

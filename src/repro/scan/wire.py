@@ -14,13 +14,15 @@ replaced it:
 * each chunk returns a :class:`PackedChunkResult`: ``array('Q')``
   responder indices per fast protocol, an ``array('Q')`` of UDP/53 hit
   indices plus one *meta byte* per hit (integer-coded genuine-DNS
-  behavior, injection/control flags), flattened injected-answer payload
-  integers, and a scannable bitmask row for rate-limited scans.
+  variant and control-log flags) and one extra-answer count per hit,
+  flattened extra-answer payload integers, and a scannable bitmask row
+  for rate-limited scans.
 
 Indices are positions in the scan's full target list, so the parent
-decodes a responder with one list lookup and synthesizes DNS response
-objects only for actual hits.  Everything in this module is structural:
-encode/decode round-trips bit-exactly (property-tested in
+decodes a responder with one list lookup and turns each UDP/53 hit into
+an integer answer record, never a response object.  The wire says what
+arrived, not which answers are forged.  Everything in this module is
+structural: encode/decode round-trips bit-exactly (property-tested in
 ``tests/scan/test_wire.py``) and carries no scan semantics.
 """
 
@@ -47,8 +49,6 @@ GENUINE_NXDOMAIN = 5
 GENUINE_NOERROR = 6
 
 GENUINE_MASK = 0b111
-#: injected (GFW-forged) responses precede the genuine one
-FLAG_INJECTED = 1 << 3
 #: the hit appended a control-domain NS log entry
 FLAG_CONTROL = 1 << 4
 #: the control entry's egress differs from the target (proxy resolver)
@@ -102,10 +102,11 @@ class PackedChunkResult:
 
     All index arrays hold positions in the scan's full target list (not
     chunk-relative), in target order.  ``udp_meta[i]`` describes hit
-    ``udp_idx[i]`` via the ``GENUINE_*``/``FLAG_*`` codes above;
-    injected-answer payloads for flagged hits follow in ``inj_counts`` /
-    ``inj_answers`` order (one ``Q`` slot per answer, or two — ``lo,
-    hi`` — when ``inj_wide``).
+    ``udp_idx[i]`` via the ``GENUINE_*``/``FLAG_*`` codes above, and
+    ``inj_counts[i]`` is the number of extra single-answer responses
+    that arrived before the genuine one (0 for none); their payloads
+    follow in ``inj_answers`` order (one ``Q`` slot per answer, or two
+    — ``lo, hi`` — when ``inj_wide``).
     """
 
     __slots__ = (
@@ -127,9 +128,9 @@ class PackedChunkResult:
         self.udp_idx: array = array("Q")
         #: one meta byte per UDP/53 hit
         self.udp_meta: bytearray = bytearray()
-        #: per FLAG_INJECTED hit, the number of forged responses
+        #: per UDP/53 hit, the number of extra responses
         self.inj_counts: array = array("H")
-        #: flattened forged-answer payload integers
+        #: flattened extra-answer payload integers
         self.inj_answers: array = array("Q")
         #: True when answers take two slots (128-bit Teredo addresses)
         self.inj_wide: bool = False

@@ -19,8 +19,9 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Set, Tuple
 
 from repro.obs.metrics import MetricsRegistry
-from repro.protocols import DnsResponse, Protocol
+from repro.protocols import DnsAnswer, DnsStatus, Protocol, RecordType
 from repro.runtime.faults import FaultPlan, RetryPolicy
+from repro.scan import wire
 from repro.scan.blocklist import Blocklist
 from repro.scan.loss import LossModel
 from repro.simnet.internet import SimInternet
@@ -41,20 +42,49 @@ class ScanResult:
         return len(self.responders) / self.targets if self.targets else 0.0
 
 
+#: one responder's UDP/53 answers: its genuine-variant code (a
+#: ``wire.GENUINE_*``, 0 for none) and the payload ints of the extra
+#: single-answer NOERROR responses that arrived before it
+AnswerRecord = Tuple[int, Tuple[int, ...]]
+
+_REFERRAL = (DnsAnswer(rtype=RecordType.NS, target="a.root-servers.net"),)
+_LOCALHOST = (DnsAnswer(rtype=RecordType.AAAA, address=1),)
+
+
+def variant_answers(resolved: Tuple[int, ...]) -> Dict[int, tuple]:
+    """``(status, answers)`` per genuine variant, for a query resolving to
+    ``resolved`` (the scan-side spelling of ``SimInternet._answer_as``)."""
+    return {
+        wire.GENUINE_REFUSED: (DnsStatus.REFUSED, ()),
+        wire.GENUINE_REFERRAL: (DnsStatus.NOERROR, _REFERRAL),
+        wire.GENUINE_SERVFAIL: (DnsStatus.SERVFAIL, ()),
+        wire.GENUINE_BROKEN_ANSWER: (DnsStatus.NOERROR, _LOCALHOST),
+        wire.GENUINE_NXDOMAIN: (DnsStatus.NXDOMAIN, ()),
+        wire.GENUINE_NOERROR: (DnsStatus.NOERROR, tuple(
+            DnsAnswer(rtype=RecordType.AAAA, address=address)
+            for address in resolved
+        )),
+    }
+
+
 @dataclass
 class Udp53Result:
-    """Outcome of a UDP/53 scan, keeping full responses for inspection.
+    """Outcome of a UDP/53 scan, as integer answer records.
 
     ``responders`` contains every target ZMap would report as successful;
-    ``responses`` maps each responder to the responses received (several
-    per target when injectors fire).
+    ``records`` maps each responder to its :data:`AnswerRecord` (several
+    responses per target when injectors fire).  ``variants`` and
+    ``extra_rtype`` are per scan: what each genuine variant answers
+    with, and the record type of every extra answer.
     """
 
     day: int
     qname: str
     targets: int = 0
     responders: Set[int] = field(default_factory=set)
-    responses: Dict[int, Tuple[DnsResponse, ...]] = field(default_factory=dict)
+    records: Dict[int, AnswerRecord] = field(default_factory=dict)
+    variants: Dict[int, tuple] = field(default_factory=dict)
+    extra_rtype: RecordType = RecordType.A
 
     @property
     def hit_rate(self) -> float:

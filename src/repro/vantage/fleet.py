@@ -647,19 +647,14 @@ class VantageFleet:
                 merged |= per_results[i][protocol].responders - witness_set
             fast_sets[protocol] = merged
         # non-witness shards are disjoint across members, so each
-        # member's response map lands unconflicted in the merged one
+        # member's answer records land unconflicted in the merged ones
         udp_responders: Set[int] = set()
-        udp_responses: Dict[int, tuple] = {}
+        udp_records: Dict[int, tuple] = {}
         for i in live_indices:
-            udp_i = per_udp[i]
-            keep = udp_i.responders - witness_set
+            records = per_udp[i].records
+            keep = per_udp[i].responders - witness_set
             udp_responders |= keep
-            if len(keep) == len(udp_i.responses):
-                udp_responses.update(udp_i.responses)
-            else:
-                responses = udp_i.responses
-                for responder in keep:
-                    udp_responses[responder] = responses[responder]
+            udp_records.update((responder, records[responder]) for responder in keep)
 
         # Witness votes via set algebra: targets sharing a panel are
         # reconciled together, one intersection per (panel member,
@@ -724,9 +719,9 @@ class VantageFleet:
                     # design
                     for target in accepted:
                         for i in panel:
-                            responses = per_udp[i].responses.get(target)
-                            if responses is not None:
-                                udp_responses[target] = responses
+                            record = per_udp[i].records.get(target)
+                            if record is not None:
+                                udp_records[target] = record
                                 break
         for vid, split_votes in dissent.items():
             report.per_vantage[vid]["dissent"] = split_votes
@@ -743,8 +738,12 @@ class VantageFleet:
             )
             for protocol in _FAST_PROTOCOLS
         }
+        # every member answers the same (day, qname): its variant table
+        # and extra-answer type are the scan's
+        first = per_udp[live_indices[0]]
         udp53 = Udp53Result(
             day=day, qname=qname, targets=count,
-            responders=udp_responders, responses=udp_responses,
+            responders=udp_responders, records=udp_records,
+            variants=first.variants, extra_rtype=first.extra_rtype,
         )
         return results, udp53

@@ -1,5 +1,7 @@
 """Tests for the table builders and Sec. 4 reports."""
 
+import dataclasses
+
 import pytest
 
 from repro.analysis.tables import (
@@ -134,6 +136,29 @@ class TestEui64Report:
 
 
 class TestDnsQuality:
+    def test_control_experiment_ignores_ground_truth(
+        self, short_history, small_world, monkeypatch
+    ):
+        """The experiment reads what arrived, never the ``injected`` flag."""
+        day = 133  # inside the first GFW injection era
+        assert small_world.gfw.active_era(day) is not None
+        log = small_world.control_ns_log
+        mark = len(log)
+        want = dns_quality_report(short_history, small_world, day=day)
+        probe = small_world.dns_probe
+
+        def flipped(target, qname, probe_day):
+            return [
+                dataclasses.replace(response, injected=not response.injected)
+                for response in probe(target, qname, probe_day)
+            ]
+
+        monkeypatch.setattr(small_world, "dns_probe", flipped)
+        got = dns_quality_report(short_history, small_world, day=day)
+        del log[mark:]
+        assert got == want
+        assert want.responded
+
     def test_control_experiment_classification(self, short_history, small_world):
         result = dns_quality_report(short_history, small_world, day=133)
         total = result.responded + len(result.silent)

@@ -3,22 +3,20 @@
 from repro.gfw.filter import GfwFilter
 from repro.net.teredo import encode_teredo
 from repro.protocols import DnsAnswer, DnsResponse, DnsStatus, RecordType
-from repro.scan.zmap import Udp53Result
+from tests.gfw.oracle import udp53_from_responses
 
 FACEBOOK_IPV4 = 0x1F0D5801  # inside 31.13.88.0/21
 MICROSOFT_IPV4 = 0x0D6B4001  # inside 13.107.64.0/18
 
 
 def udp53_with(target, answers):
-    result = Udp53Result(day=1, qname="www.google.com")
-    result.targets = 1
-    result.responders.add(target)
-    result.responses[target] = tuple(
-        DnsResponse(responder=target, qname="www.google.com",
-                    status=DnsStatus.NOERROR, answers=(answer,))
-        for answer in answers
-    )
-    return result
+    return udp53_from_responses(1, {
+        target: tuple(
+            DnsResponse(responder=target, qname="www.google.com",
+                        status=DnsStatus.NOERROR, answers=(answer,))
+            for answer in answers
+        )
+    })
 
 
 class TestAttribution:
@@ -52,15 +50,17 @@ class TestAttribution:
 
     def test_end_to_end_attribution(self, small_world):
         """A real injected scan attributes to the pool's owner orgs."""
-        from tests.scan.oracle import OracleScanner
+        from repro.scan.zmap import ZMapScanner
 
         gfw = small_world.gfw
         day = gfw.eras[-1].start_day
         cn_asn = next(iter(gfw._boundary.inside_asns))
         prefix = small_world.routing.base.prefixes_of(cn_asn)[0]
         targets = [prefix.value | (0xD000 + i) for i in range(50)]
-        scanner = OracleScanner(small_world, loss_rate=0.0)
-        result = scanner.scan_udp53(targets, day, "www.google.com")
+        scanner = ZMapScanner(small_world, loss_rate=0.0)
+        _fast, result = scanner.scan_all_protocols(
+            targets, day, "www.google.com"
+        )
         f = GfwFilter()
         f.clean_scan(result)
         owners = set(f.forged_answer_owners)

@@ -1,6 +1,6 @@
 """Tests for the GFW response classifier (observable evidence only)."""
 
-from repro.gfw.detector import (
+from tests.gfw.oracle import (
     DEFAULT_WHOIS,
     InjectionEvidence,
     classify_response,

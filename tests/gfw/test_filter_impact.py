@@ -7,23 +7,21 @@ from repro.gfw.impact import impact_report
 from repro.net.prefix import parse_prefix
 from repro.net.teredo import encode_teredo
 from repro.protocols import DnsAnswer, DnsResponse, DnsStatus, RecordType
-from repro.scan.zmap import Udp53Result
+from tests.gfw.oracle import udp53_from_responses
 
 TEREDO = DnsAnswer(rtype=RecordType.AAAA, address=encode_teredo(1, 0x1F0D5801, 1))
 GENUINE = DnsAnswer(rtype=RecordType.AAAA, address=42 << 64)
 
 
 def udp53(day, mapping):
-    result = Udp53Result(day=day, qname="www.google.com")
-    for target, answers in mapping.items():
-        result.targets += 1
-        result.responders.add(target)
-        result.responses[target] = tuple(
+    return udp53_from_responses(day, {
+        target: tuple(
             DnsResponse(responder=target, qname="www.google.com",
                         status=DnsStatus.NOERROR, answers=(answer,))
             for answer in answers
         )
-    return result
+        for target, answers in mapping.items()
+    })
 
 
 class TestGfwFilter:

@@ -1,4 +1,9 @@
-"""Property tests for the GFW filter over synthetic response batches."""
+"""Property tests for the GFW filter over synthetic response batches.
+
+A target's responses are single-answer NOERROR responses: the last one
+stands for its genuine variant and the ones before it are extra answers,
+which share one record type per scan (as in a real scan).
+"""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,7 +11,7 @@ from hypothesis import strategies as st
 from repro.gfw.filter import GfwFilter
 from repro.net.teredo import encode_teredo
 from repro.protocols import DnsAnswer, DnsResponse, DnsStatus, RecordType
-from repro.scan.zmap import Udp53Result
+from tests.gfw.oracle import udp53_from_responses
 
 GENUINE = DnsAnswer(rtype=RecordType.AAAA, address=0x2A00 << 112 | 1)
 FORGED_A = DnsAnswer(rtype=RecordType.A, address=0x1F0D5801)
@@ -15,27 +20,38 @@ FORGED_TEREDO = DnsAnswer(
 )
 
 answer_strategy = st.sampled_from([GENUINE, FORGED_A, FORGED_TEREDO])
+#: extra answers of one scan: all AAAA (genuine or Teredo) or all A
+extra_families = st.sampled_from([
+    st.sampled_from([GENUINE, FORGED_TEREDO]), st.just(FORGED_A),
+])
+
+
+@st.composite
+def scans(draw, max_answers, max_targets):
+    """Per-target answer lists: extras of one family, then any answer."""
+    extra = draw(extra_families)
+    answers = st.tuples(
+        st.lists(extra, max_size=max_answers - 1), answer_strategy
+    ).map(lambda pair: pair[0] + [pair[1]])
+    return draw(st.dictionaries(
+        st.integers(min_value=1, max_value=10**30), answers,
+        min_size=1, max_size=max_targets,
+    ))
 
 
 def build_result(day, target_answers):
-    result = Udp53Result(day=day, qname="www.google.com")
-    for target, answers in target_answers.items():
-        result.targets += 1
-        result.responders.add(target)
-        result.responses[target] = tuple(
+    return udp53_from_responses(day, {
+        target: tuple(
             DnsResponse(responder=target, qname="www.google.com",
                         status=DnsStatus.NOERROR, answers=(answer,))
             for answer in answers
         )
-    return result
+        for target, answers in target_answers.items()
+    })
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.dictionaries(
-    st.integers(min_value=1, max_value=10**30),
-    st.lists(answer_strategy, min_size=1, max_size=4),
-    min_size=1, max_size=20,
-))
+@given(scans(max_answers=4, max_targets=20))
 def test_partition_is_exact(target_answers):
     """Every responder lands in exactly one of {clean, injected}."""
     f = GfwFilter()
@@ -51,11 +67,7 @@ def test_partition_is_exact(target_answers):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    st.dictionaries(
-        st.integers(min_value=1, max_value=10**30),
-        st.lists(answer_strategy, min_size=1, max_size=3),
-        min_size=1, max_size=12,
-    ),
+    scans(max_answers=3, max_targets=12),
     st.sets(st.integers(min_value=1, max_value=10**30), max_size=12),
 )
 def test_historical_filter_monotone(target_answers, other_protocol):

@@ -110,3 +110,23 @@ class TestGfwDeployment:
                 snapshot.cleaned_counts[Protocol.UDP53], abs=2
             )
         assert history.gfw.impacted_count > 0
+
+
+class TestSettingsValidation:
+    @pytest.mark.parametrize("attempts", (0, -3))
+    def test_retry_attempts_below_one_rejected(self, small_world, attempts):
+        from repro.hitlist.service import ServiceSettings
+
+        with pytest.raises(ValueError, match="retry_attempts"):
+            HitlistService(
+                small_world, small_config(),
+                ServiceSettings(retry_attempts=attempts),
+            )
+
+    def test_scan_mode_rejected(self, small_world):
+        from repro.hitlist.service import ServiceSettings
+
+        with pytest.raises(ValueError, match="scan_mode"):
+            HitlistService(
+                small_world, small_config(), ServiceSettings(scan_mode="some"),
+            )

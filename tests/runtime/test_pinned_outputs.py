@@ -1,6 +1,6 @@
 """Pinned campaign outputs: SHA-256 digests of what short runs write.
 
-Five small-preset campaigns run through the CLI inside a temporary
+Seven small-preset campaigns run through the CLI inside a temporary
 working directory (checkpoints embed their own and the store's paths,
 so both are passed relative).  Each run's ``summary.json``, every
 checkpoint file and the publication store (every object and manifest
@@ -24,14 +24,22 @@ The configurations:
 * ``incremental-faulted`` — one vantage, incremental scheduling under
   the ``single-faulted`` fault plan and two probe attempts, so the
   scheduler's replay of carried prefixes runs through retries and a
-  loss burst.
+  loss burst;
+* ``gfw-eras-full`` — one vantage, full scan mode, on a world whose GFW
+  eras are pulled forward (an A-record era from day 60, a Teredo era
+  from day 100) with the filter deployed on day 112, so the Teredo
+  answers and the active filter run inside the 140 pinned days;
+* ``gfw-eras-fleet`` — the same world under three vantages and
+  incremental scheduling.
 
-The three incremental configurations also run with two scan workers and
-must produce the same bytes.
+The incremental configurations also run with two scan workers and must
+produce the same bytes.  ``--record NAME ...`` re-records only the named
+configurations and keeps every other entry as it is.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -43,6 +51,8 @@ import pytest
 
 from repro.cli import main
 from repro.simnet import small_config
+from repro.simnet.config import GfwEraConfig
+from repro.simnet.config_io import save_config
 
 PINNED = pathlib.Path(__file__).with_name("pinned_outputs.json")
 
@@ -63,6 +73,15 @@ def _faults() -> Dict[str, object]:
     }
 
 
+def _gfw_eras_config():
+    """The small preset with both GFW eras and the filter before day 140."""
+    return dataclasses.replace(
+        small_config(),
+        gfw_eras=(GfwEraConfig(60, 100, False), GfwEraConfig(100, 141, True)),
+        gfw_filter_deploy_day=112,
+    )
+
+
 CONFIGS: Dict[str, List[str]] = {
     "single-full": ["--vantages", "1", "--scan-mode", "full"],
     "single-incremental": ["--vantages", "1", "--scan-mode", "incremental"],
@@ -79,6 +98,13 @@ CONFIGS: Dict[str, List[str]] = {
         "--vantages", "1", "--scan-mode", "incremental",
         "--faults", "faults.json", "--retry-attempts", "2",
     ],
+    "gfw-eras-full": [
+        "--config", "gfw-eras.json", "--vantages", "1", "--scan-mode", "full",
+    ],
+    "gfw-eras-fleet": [
+        "--config", "gfw-eras.json", "--vantages", "3",
+        "--scan-mode", "incremental",
+    ],
 }
 
 
@@ -90,6 +116,8 @@ def run_and_digest(workdir: pathlib.Path, name: str, workers: int = 1) -> Dict[s
     """Run configuration ``name`` inside ``workdir``; digest its outputs."""
     workdir.mkdir(parents=True, exist_ok=True)
     (workdir / "faults.json").write_text(json.dumps(_faults()))
+    with open(workdir / "gfw-eras.json", "w", encoding="ascii") as handle:
+        save_config(_gfw_eras_config(), handle)
     previous = os.getcwd()
     os.chdir(workdir)
     try:
@@ -125,7 +153,7 @@ def pinned() -> Dict[str, Dict[str, str]]:
     "name,workers",
     [(name, 1) for name in CONFIGS]
     + [("single-incremental", 2), ("fleet-incremental", 2),
-       ("incremental-faulted", 2)],
+       ("incremental-faulted", 2), ("gfw-eras-fleet", 2)],
 )
 def test_outputs_match_pinned_digests(tmp_path, capsys, pinned, name, workers):
     digests = run_and_digest(tmp_path / name, name, workers)
@@ -136,13 +164,17 @@ def test_outputs_match_pinned_digests(tmp_path, capsys, pinned, name, workers):
 if __name__ == "__main__":  # pragma: no cover - re-recording helper
     import tempfile
 
-    if sys.argv[1:] != ["--record"]:
+    if sys.argv[1:2] != ["--record"]:
         raise SystemExit(__doc__)
-    recorded = {}
+    names = sys.argv[2:] or list(CONFIGS)
+    unknown = sorted(set(names) - set(CONFIGS))
+    if unknown:
+        raise SystemExit(f"unknown configurations: {unknown}")
+    recorded = json.loads(PINNED.read_text()) if PINNED.exists() else {}
     with tempfile.TemporaryDirectory() as scratch:
-        for config_name in CONFIGS:
+        for config_name in names:
             recorded[config_name] = run_and_digest(
                 pathlib.Path(scratch) / config_name, config_name
             )
     PINNED.write_text(json.dumps(recorded, indent=2, sort_keys=True) + "\n")
-    print(f"recorded {len(recorded)} configurations to {PINNED}")
+    print(f"recorded {len(names)} configurations to {PINNED}")

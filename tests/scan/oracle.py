@@ -29,12 +29,13 @@ without it (``tests/scan/test_loss.py`` compares the two).
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro._util import mix64
-from repro.protocols import ALL_PROTOCOLS, Protocol
+from repro.protocols import ALL_PROTOCOLS, DnsResponse, Protocol
 from repro.runtime.faults import FaultPlan, RetryPolicy
-from repro.scan.zmap import ScanResult, Udp53Result, ZMapScanner
+from repro.scan.zmap import ScanResult, ZMapScanner
 from repro.simnet.internet import SimInternet
 
 _M64 = 0xFFFFFFFFFFFFFFFF
@@ -44,6 +45,21 @@ _M64 = 0xFFFFFFFFFFFFFFFF
 _RETRY_SALT = 0x9E3779B97F4A7C15
 _FAST_SALT = 0x5CA11
 FAST_PROTOCOLS = (Protocol.ICMP, Protocol.TCP80, Protocol.TCP443, Protocol.UDP443)
+
+
+@dataclass
+class OracleUdp53Result:
+    """A UDP/53 scan as response objects, straight from ``dns_probe``.
+
+    ``tests.gfw.oracle.responses_of`` spells the engine's answer records
+    the same way, so the two compare target by target.
+    """
+
+    day: int
+    qname: str
+    targets: int = 0
+    responders: Set[int] = field(default_factory=set)
+    responses: Dict[int, Tuple[DnsResponse, ...]] = field(default_factory=dict)
 
 
 def response_mask(internet: SimInternet, address: int, day: int) -> int:
@@ -213,13 +229,13 @@ class OracleScanner(ZMapScanner):
 
     def scan_udp53(
         self, targets: Iterable[int], day: int, qname: str
-    ) -> Udp53Result:
+    ) -> OracleUdp53Result:
         """Probe UDP/53 with an A/AAAA query for ``qname``.
 
         Responses include GFW forgeries; ZMap's success criterion is
         "any DNS packet came back from the probed address".
         """
-        result = Udp53Result(day=day, qname=qname)
+        result = OracleUdp53Result(day=day, qname=qname)
         plan = self._fault_plan
         limited = plan is not None and plan.limits_protocol(Protocol.UDP53)
         probed: List[int] = []
@@ -257,7 +273,7 @@ class OracleScanner(ZMapScanner):
 
     def scan_suite(
         self, targets: Iterable[int], day: int, qname: str
-    ) -> Tuple[Dict[Protocol, ScanResult], Udp53Result]:
+    ) -> Tuple[Dict[Protocol, ScanResult], OracleUdp53Result]:
         """What ``scan_all_protocols`` returns, computed target by target.
 
         Fast-protocol loss of a responsive target is

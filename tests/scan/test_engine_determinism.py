@@ -195,9 +195,11 @@ def test_two_live_engines_do_not_clobber(config):
             assert got_a == want_a
             assert got_b == want_b
             assert udp_a.responders == udp_ref_a.responders
-            assert udp_a.responses == udp_ref_a.responses
+            assert udp_a.records == udp_ref_a.records
+            assert udp_a == udp_ref_a
             assert udp_b.responders == udp_ref_b.responders
-            assert udp_b.responses == udp_ref_b.responses
+            assert udp_b.records == udp_ref_b.records
+            assert udp_b == udp_ref_b
             # the guard only has teeth if the two scanners disagree
             assert udp_a.responders != udp_b.responders
     finally:

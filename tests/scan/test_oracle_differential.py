@@ -4,7 +4,8 @@
 only probe paths in ``repro``; :mod:`tests.scan.oracle` keeps the
 per-target scanner they replaced.  Under loss, retries, a loss burst, a
 per-AS rate limit and a blocklist, for several worker counts and chunk
-sizes, both must agree on every responder, every UDP/53 response, the
+sizes, both must agree on every responder, every UDP/53 response (the
+engine's answer records spelled out as response objects), the
 probe total and every probe counter.
 """
 
@@ -21,6 +22,7 @@ from repro.runtime.faults import FaultPlan, LossBurst, RateLimit, RetryPolicy
 from repro.scan.blocklist import Blocklist
 from repro.scan.engine import ScanEngine
 from repro.scan.zmap import ZMapScanner
+from tests.gfw.oracle import responses_of
 from tests.scan.oracle import OracleScanner
 
 #: inside the first GFW injection era, so forged answers are compared
@@ -111,7 +113,9 @@ def test_engine_matches_scalar_oracle(
         assert got[protocol].responders == result.responders, protocol
         assert got[protocol].targets == result.targets
     assert got_udp.responders == want_udp.responders
-    assert got_udp.responses == want_udp.responses
+    assert {
+        target: responses_of(got_udp, target) for target in got_udp.records
+    } == want_udp.responses
     assert got_udp.targets == want_udp.targets
     assert control == want_control
     assert scanner.probes_sent == want_probes

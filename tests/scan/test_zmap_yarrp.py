@@ -157,17 +157,19 @@ class TestYarrp:
 
 class TestUdp53HitRate:
     def test_hit_rate_matches_counts(self, small_world):
-        scanner = OracleScanner(small_world, loss_rate=0.0)
+        scanner = ZMapScanner(small_world, loss_rate=0.0)
         dns_hosts = _up_hosts(small_world, Protocol.UDP53, 10)
         if not dns_hosts:
             pytest.skip("no DNS hosts up in this tiny world")
         dead = [0x3FFF << 112, (0x3FFF << 112) | 1]
-        result = scanner.scan_udp53(dns_hosts + dead, 10, "www.google.com")
+        _fast, result = scanner.scan_all_protocols(
+            dns_hosts + dead, 10, "www.google.com"
+        )
         assert result.hit_rate == len(result.responders) / result.targets
         assert 0.0 < result.hit_rate < 1.0
 
     def test_hit_rate_empty_scan(self, small_world):
-        scanner = OracleScanner(small_world, loss_rate=0.0)
-        result = scanner.scan_udp53([], 10, "www.google.com")
+        scanner = ZMapScanner(small_world, loss_rate=0.0)
+        _fast, result = scanner.scan_all_protocols([], 10, "www.google.com")
         assert result.targets == 0
         assert result.hit_rate == 0.0

@@ -72,7 +72,7 @@ class TestScannerEdges:
         result = Udp53Result(day=1, qname="x")
         assert result.targets == 0
         assert result.responders == set()
-        assert result.responses == {}
+        assert result.records == {}
 
     def test_scan_result_hit_rate_zero_targets(self, tiny_service):
         from repro.scan.zmap import ScanResult

@@ -113,8 +113,9 @@ class TestSingleVantageEquivalence:
             assert results[protocol].responders == ref.responders
             assert results[protocol].targets == ref.targets
         assert udp53.responders == ref_udp.responders
-        assert udp53.responses == ref_udp.responses
+        assert udp53.records == ref_udp.records
         assert udp53.targets == ref_udp.targets
+        assert udp53 == ref_udp
         # a single vantage has no panel, so nothing to disagree about
         assert report.witness_targets == 0
         assert report.disagreements == {}
@@ -157,7 +158,7 @@ class TestMultiVantageScan:
             view = (
                 {p: r.responders for p, r in results.items()},
                 frozenset(udp53.responders),
-                dict(udp53.responses),
+                dict(udp53.records),
                 report.to_json(),
             )
             if baseline is None:
